@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use teg_array::Configuration;
 use teg_bench::{exponential_temperatures, paper_array};
-use teg_reconfig::{Dnor, Ehtr, Inor, ReconfigInputs, Reconfigurer};
+use teg_reconfig::{Dnor, Ehtr, Inor, Reconfigurer, TelemetryWindow};
 use teg_units::Celsius;
 
 fn bench_decisions(c: &mut Criterion) {
@@ -14,7 +14,7 @@ fn bench_decisions(c: &mut Criterion) {
     let history: Vec<Vec<f64>> = (0..10)
         .map(|step| exponential_temperatures(n, 68.0 + step as f64 * 0.2, 1.5, 25.0))
         .collect();
-    let inputs = ReconfigInputs::new(&array, &history, Celsius::new(25.0)).expect("inputs");
+    let inputs = TelemetryWindow::new(&array, &history, Celsius::new(25.0)).expect("inputs");
     let current = Configuration::uniform(n, 10).expect("config");
 
     let mut group = c.benchmark_group("reconfig/decision_100_modules");

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use teg_array::Configuration;
 use teg_bench::{exponential_temperatures, paper_array};
-use teg_reconfig::{Ehtr, Inor, ReconfigInputs, Reconfigurer};
+use teg_reconfig::{Ehtr, Inor, Reconfigurer, TelemetryWindow};
 use teg_units::Celsius;
 
 fn bench_scaling(c: &mut Criterion) {
@@ -15,7 +15,7 @@ fn bench_scaling(c: &mut Criterion) {
     for &n in &[50usize, 100, 200, 400] {
         let array = paper_array(n);
         let history = vec![exponential_temperatures(n, 70.0, 1.5, 25.0)];
-        let inputs = ReconfigInputs::new(&array, &history, Celsius::new(25.0)).expect("inputs");
+        let inputs = TelemetryWindow::new(&array, &history, Celsius::new(25.0)).expect("inputs");
         let current = Configuration::uniform(n, (n as f64).sqrt().ceil() as usize).expect("config");
 
         group.bench_with_input(BenchmarkId::new("inor", n), &n, |b, _| {

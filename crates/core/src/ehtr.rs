@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use teg_array::{ArraySolver, Configuration, TegArray};
-use teg_units::{Amps, KernelMode, Seconds, TemperatureDelta, Watts};
+use teg_units::{Amps, Seconds, TemperatureDelta, Watts};
 
 use crate::error::ReconfigError;
 use crate::inor::{pick_best_candidate, Inor, InorConfig};
@@ -48,7 +48,6 @@ use crate::traits::{ReconfigDecision, Reconfigurer};
 #[derive(Debug, Clone, Default)]
 pub struct Ehtr {
     config: InorConfig,
-    mode: KernelMode,
     // Last (ΔT row → partition) pair: a 0.5 s period over 1 s steps asks the
     // same question twice per step, and the DP is ~95 % of a decide.
     memo: Option<DecisionMemo>,
@@ -57,7 +56,7 @@ pub struct Ehtr {
 /// The memo caches derived state only, so it stays out of scheme identity.
 impl PartialEq for Ehtr {
     fn eq(&self, other: &Self) -> bool {
-        self.config == other.config && self.mode == other.mode
+        self.config == other.config
     }
 }
 
@@ -66,23 +65,13 @@ impl Ehtr {
     /// efficiency floor, period) so comparisons are apples-to-apples.
     #[must_use]
     pub fn new(config: InorConfig) -> Self {
-        Self {
-            config,
-            mode: KernelMode::default(),
-            memo: None,
-        }
+        Self { config, memo: None }
     }
 
     /// The tuning parameters in use.
     #[must_use]
     pub const fn config(&self) -> &InorConfig {
         &self.config
-    }
-
-    /// The kernel mode the DP and the candidate scan run in.
-    #[must_use]
-    pub const fn kernel_mode(&self) -> KernelMode {
-        self.mode
     }
 
     /// Optimal (least-squared-imbalance) partition of the chain into `n`
@@ -180,144 +169,6 @@ impl Ehtr {
         Configuration::new(starts, modules).expect("DP partition is always valid")
     }
 
-    /// The [`KernelMode::Fast`] lane of [`Ehtr::optimal_partition`]: the
-    /// same dynamic program over flat scratch tables with a 4-wide
-    /// instruction-parallel min-scan of the inner boundary loop.
-    ///
-    /// Every candidate cost is evaluated with the reference operation order
-    /// (`cost[j-1][k] + ((prefix[i] − prefix[k]) − ideal)²`), and the
-    /// vectorised scan resolves ties by the smallest boundary exactly as the
-    /// serial strict-`<` scan does, so **the returned partition is
-    /// identical** to the bit-exact lane's — the speed comes from breaking
-    /// the scan's dependency chain and from reusing flat buffers instead of
-    /// allocating `2n` nested rows per call.  The equivalence test below
-    /// pins the identity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or exceeds the number of modules.
-    #[must_use]
-    pub fn optimal_partition_fast(mpp_currents: &[Amps], n: usize) -> Configuration {
-        Self::optimal_partition_fast_with(mpp_currents, n, &mut PartitionScratch::default())
-    }
-
-    fn optimal_partition_fast_with(
-        mpp_currents: &[Amps],
-        n: usize,
-        scratch: &mut PartitionScratch,
-    ) -> Configuration {
-        let modules = mpp_currents.len();
-        assert!(
-            n >= 1 && n <= modules,
-            "group count {n} out of range for {modules} modules"
-        );
-        let total: f64 = mpp_currents.iter().map(|c| c.value()).sum();
-        let ideal = total / n as f64;
-
-        let width = modules + 1;
-        let PartitionScratch {
-            prefix,
-            cost_prev,
-            cost_cur,
-            choice,
-        } = scratch;
-        prefix.clear();
-        prefix.reserve(width);
-        prefix.push(0.0);
-        let mut acc = 0.0;
-        for c in mpp_currents {
-            acc += c.value();
-            prefix.push(acc);
-        }
-        cost_prev.clear();
-        cost_prev.resize(width, f64::INFINITY);
-        cost_cur.clear();
-        cost_cur.resize(width, f64::INFINITY);
-        choice.clear();
-        choice.resize(n * width, 0);
-
-        for i in 1..=(modules - (n - 1)) {
-            let sum = prefix[i] - prefix[0];
-            let d = sum - ideal;
-            cost_prev[i] = d * d;
-        }
-        for j in 1..n {
-            let row = j * width;
-            // Same reachability bound as the reference lane: states that
-            // leave fewer modules than remaining groups are never read.
-            let reachable = modules - (n - 1 - j);
-            for i in (j + 1)..=reachable {
-                let pi = prefix[i];
-                // Four independent (value, boundary) minima; lane-local
-                // strict-< keeps each lane's earliest minimum.
-                let mut v = [f64::INFINITY; 4];
-                let mut at = [0usize; 4];
-                let mut k = j;
-                while k + 4 <= i {
-                    let d0 = (pi - prefix[k]) - ideal;
-                    let c0 = cost_prev[k] + d0 * d0;
-                    if c0 < v[0] {
-                        v[0] = c0;
-                        at[0] = k;
-                    }
-                    let d1 = (pi - prefix[k + 1]) - ideal;
-                    let c1 = cost_prev[k + 1] + d1 * d1;
-                    if c1 < v[1] {
-                        v[1] = c1;
-                        at[1] = k + 1;
-                    }
-                    let d2 = (pi - prefix[k + 2]) - ideal;
-                    let c2 = cost_prev[k + 2] + d2 * d2;
-                    if c2 < v[2] {
-                        v[2] = c2;
-                        at[2] = k + 2;
-                    }
-                    let d3 = (pi - prefix[k + 3]) - ideal;
-                    let c3 = cost_prev[k + 3] + d3 * d3;
-                    if c3 < v[3] {
-                        v[3] = c3;
-                        at[3] = k + 3;
-                    }
-                    k += 4;
-                }
-                while k < i {
-                    let d = (pi - prefix[k]) - ideal;
-                    let c = cost_prev[k] + d * d;
-                    if c < v[0] {
-                        v[0] = c;
-                        at[0] = k;
-                    }
-                    k += 1;
-                }
-                // Merge lanes lexicographically on (value, boundary): equal
-                // values resolve to the smallest k, reproducing the serial
-                // scan's first-minimum tie-break exactly.  Lane 0 always
-                // holds a finite value (k = j lands there), so an untouched
-                // lane's (∞, 0) sentinel can never win the merge.
-                let mut best_v = v[0];
-                let mut best_k = at[0];
-                for lane in 1..4 {
-                    if v[lane] < best_v || (v[lane] == best_v && at[lane] < best_k) {
-                        best_v = v[lane];
-                        best_k = at[lane];
-                    }
-                }
-                cost_cur[i] = best_v;
-                choice[row + i] = best_k as u32;
-            }
-            std::mem::swap(cost_prev, cost_cur);
-        }
-
-        let mut starts = vec![0usize; n];
-        let mut end = modules;
-        for j in (1..n).rev() {
-            let boundary = choice[j * width + end] as usize;
-            starts[j] = boundary;
-            end = boundary;
-        }
-        Configuration::new(starts, modules).expect("DP partition is always valid")
-    }
-
     /// Runs the full heuristic: DP partition for every feasible group count,
     /// keep the most powerful candidate.
     ///
@@ -330,7 +181,7 @@ impl Ehtr {
         array: &TegArray,
         deltas: &[TemperatureDelta],
     ) -> Result<(Configuration, Watts), ReconfigError> {
-        self.optimise_with(&mut ArraySolver::with_mode(self.mode), array, deltas)
+        self.optimise_with(&mut ArraySolver::new(), array, deltas)
     }
 
     /// [`Ehtr::optimise`] evaluating its candidates through a caller-owned
@@ -350,30 +201,17 @@ impl Ehtr {
         let mpp_currents = array.mpp_currents(deltas)?;
         let inor_view = Inor::new(self.config.clone());
         let (n_min, n_max) = inor_view.group_bounds(array, deltas);
-        let candidates: Vec<Configuration> = match self.mode {
-            KernelMode::BitExact => {
-                // The same flat scratch reuse as the fast lane — a layout
-                // change only; the reference arithmetic is untouched.
-                let mut scratch = PartitionScratch::default();
-                (n_min..=n_max)
-                    .map(|n| Self::optimal_partition_with(&mpp_currents, n, &mut scratch))
-                    .collect()
-            }
-            KernelMode::Fast => {
-                // One flat scratch shared by every group count: the DP is
-                // ~95 % of an EHTR decide, so the fast lane's gains live
-                // here.
-                let mut scratch = PartitionScratch::default();
-                (n_min..=n_max)
-                    .map(|n| Self::optimal_partition_fast_with(&mpp_currents, n, &mut scratch))
-                    .collect()
-            }
-        };
+        // One flat scratch shared by every group count: the DP is ~95 % of
+        // an EHTR decide.
+        let mut scratch = PartitionScratch::default();
+        let candidates: Vec<Configuration> = (n_min..=n_max)
+            .map(|n| Self::optimal_partition_with(&mpp_currents, n, &mut scratch))
+            .collect();
         pick_best_candidate(solver, array, deltas, candidates)
     }
 }
 
-/// Reusable flat DP tables for [`Ehtr::optimal_partition_fast_with`]:
+/// Reusable flat DP tables for [`Ehtr::optimal_partition_with`]:
 /// `prefix` sums, the previous/current cost rows, and the full boundary
 /// (`choice`) table in row-major order.
 #[derive(Debug, Clone, Default)]
@@ -415,13 +253,6 @@ impl Reconfigurer for Ehtr {
 
     fn reset(&mut self) {
         self.memo = None;
-    }
-
-    fn set_kernel_mode(&mut self, mode: KernelMode) {
-        if mode != self.mode {
-            self.memo = None;
-        }
-        self.mode = mode;
     }
 }
 
@@ -481,48 +312,6 @@ mod tests {
             assert_eq!(config.group_count(), n);
             assert_eq!(config.groups().map(|g| g.len()).sum::<usize>(), 25);
         }
-    }
-
-    #[test]
-    fn fast_dp_returns_the_exact_partition() {
-        // The vectorised DP evaluates every candidate with the reference
-        // operation order and tie-breaks identically, so the fast lane's
-        // partition must equal the serial one — not just approximate it.
-        for (count, decay) in [(7usize, 0.25), (24, 0.07), (40, 0.07), (61, 0.02)] {
-            let currents: Vec<Amps> = (0..count)
-                .map(|i| Amps::new(2.0 * (-(i as f64) * decay).exp()))
-                .collect();
-            for n in 1..=count.min(13) {
-                let exact = Ehtr::optimal_partition(&currents, n);
-                let fast = Ehtr::optimal_partition_fast(&currents, n);
-                assert_eq!(exact, fast, "count={count} n={n}");
-            }
-        }
-        // Plateaus of equal currents exercise the tie-break on every merge.
-        let flat = vec![Amps::new(1.0); 32];
-        for n in 1..=12 {
-            assert_eq!(
-                Ehtr::optimal_partition(&flat, n),
-                Ehtr::optimal_partition_fast(&flat, n),
-                "flat n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn fast_mode_optimise_matches_bit_exact_partitions() {
-        let a = array(40);
-        let deltas = radiator_like_deltas(40);
-        let exact = Ehtr::default();
-        let mut fast = Ehtr::default();
-        fast.set_kernel_mode(KernelMode::Fast);
-        assert_eq!(fast.kernel_mode(), KernelMode::Fast);
-        let (ce, pe) = exact.optimise(&a, &deltas).unwrap();
-        let (cf, pf) = fast.optimise(&a, &deltas).unwrap();
-        // The DP partitions are identical; the candidate powers may differ
-        // only by the solver's chunked-sum rounding.
-        assert_eq!(ce, cf);
-        assert!(teg_units::approx_eq(pe.value(), pf.value(), 1e-12));
     }
 
     #[test]

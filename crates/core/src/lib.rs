@@ -33,7 +33,7 @@
 //! ```
 //! use teg_device::{TegDatasheet, TegModule};
 //! use teg_array::{Configuration, TegArray};
-//! use teg_reconfig::{Inor, ReconfigInputs, Reconfigurer};
+//! use teg_reconfig::{Inor, Reconfigurer, TelemetryWindow};
 //! use teg_units::Celsius;
 //!
 //! # fn main() -> Result<(), teg_reconfig::ReconfigError> {
@@ -42,7 +42,7 @@
 //! // A falling temperature profile along the radiator.
 //! let temps: Vec<f64> = (0..20).map(|i| 95.0 - 1.5 * i as f64).collect();
 //! let history = vec![temps];
-//! let inputs = ReconfigInputs::new(&array, &history, Celsius::new(25.0))?;
+//! let inputs = TelemetryWindow::new(&array, &history, Celsius::new(25.0))?;
 //! let mut inor = Inor::default();
 //! let current = Configuration::uniform(20, 4).expect("valid");
 //! let decision = inor.decide(&inputs, &current)?;
@@ -81,12 +81,3 @@ pub use runtime::RuntimeStats;
 pub use sensor::{SensorFault, SensorFaultInjector};
 pub use telemetry::{TelemetryBuffer, TelemetryWindow};
 pub use traits::{ReconfigDecision, Reconfigurer};
-
-/// The historical name of [`TelemetryWindow`], kept so the common patterns
-/// of the original unbounded-history API — `ReconfigInputs::new`,
-/// `current_deltas`, `current_temperatures`, `module_series`,
-/// `deltas_from_row` — keep compiling unchanged.  The one removed member is
-/// the `history()` slice accessor, which cannot exist on a ring-buffer
-/// window; iterate [`TelemetryWindow::rows`] or index
-/// [`TelemetryWindow::row`] instead.
-pub type ReconfigInputs<'a> = TelemetryWindow<'a>;

@@ -151,12 +151,9 @@ pub trait Reconfigurer: Send {
     /// default implementation does nothing, which suits stateless schemes.
     fn reset(&mut self) {}
 
-    /// Selects the [`KernelMode`] the scheme's internal solves run in.
-    ///
-    /// The simulation session calls this once at construction with the
-    /// scenario's mode, so a Fast scenario runs Fast candidate scans end to
-    /// end.  The default implementation ignores the mode, which suits
-    /// schemes with no numerical inner loop (the static baseline).
+    /// A no-op kept only so out-of-tree [`Reconfigurer`] adapters that
+    /// forward it keep compiling.  Every scheme runs the one bit-exact
+    /// kernel; nothing in this workspace calls or overrides this method.
     fn set_kernel_mode(&mut self, mode: KernelMode) {
         let _ = mode;
     }

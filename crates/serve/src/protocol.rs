@@ -453,37 +453,26 @@ mod tests {
     }
 
     #[test]
-    fn kernel_mode_rides_the_grid_token_over_the_wire() {
-        use teg_units::KernelMode;
-
-        let base = GridSpec::parse("modules=8,12|seeds=1,2|drive=city:15").unwrap();
-        // A bit-exact (default) request omits the kernel field entirely, so
-        // frames from clients that predate kernel modes are byte-identical
-        // to frames from clients that spell the default out.
-        let exact = SubmitRequest {
+    fn default_submits_are_byte_identical_and_a_kernel_field_is_rejected() {
+        let request = SubmitRequest {
             id: "exact-sweep".into(),
-            grid: base.clone(),
+            grid: GridSpec::parse("modules=8,12|seeds=1,2|drive=city:15").unwrap(),
             policy: RuntimePolicy::Measured,
         };
-        let exact_payload = exact.encode().unwrap();
-        assert!(!exact_payload.contains("kernel"), "{exact_payload}");
+        let payload = request.encode().unwrap();
         assert_eq!(
-            exact_payload,
+            payload,
             "id exact-sweep\ngrid modules=8,12|seeds=1,2|drive=city:15|var=none|fault=healthy|lineup=paper\npolicy measured\n"
         );
-        // A fast-lane request carries the mode inside the grid token — no
-        // protocol change — and decodes back to a fast grid on the daemon.
-        let fast = SubmitRequest {
-            id: "fast-sweep".into(),
-            grid: base.kernel_mode(KernelMode::Fast),
-            policy: RuntimePolicy::Measured,
-        };
-        let fast_payload = fast.encode().unwrap();
-        assert!(fast_payload.contains("|kernel=fast\n"), "{fast_payload}");
-        let decoded = SubmitRequest::decode(&fast_payload).unwrap();
-        assert!(decoded.grid.spec().unwrap().ends_with("|kernel=fast"));
-        let grid = decoded.grid.to_builder().build().unwrap();
-        assert_eq!(grid.kernel_mode(), KernelMode::Fast);
+        // A grid token carrying the retired kernel field is refused by name
+        // rather than silently run bit-exact.
+        let stale = payload.replace("lineup=paper\n", "lineup=paper|kernel=fast\n");
+        match SubmitRequest::decode(&stale) {
+            Err(WireError::Malformed { reason }) => {
+                assert!(reason.contains("unknown axis \"kernel\""), "{reason}");
+            }
+            other => panic!("expected a malformed-grid error, got {other:?}"),
+        }
     }
 
     #[test]

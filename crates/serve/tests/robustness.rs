@@ -451,14 +451,17 @@ fn resilient_client_rides_out_busy_rejections() {
     .unwrap();
     let addr = server.addr();
     // Occupy the only admission slot with a slow sweep...
+    let (admitted_tx, admitted_rx) = std::sync::mpsc::channel();
     let occupant = std::thread::spawn(move || {
-        ServeClient::connect(addr)
-            .unwrap()
-            .submit(&request("occupant", SLOW))
-            .unwrap()
-            .into_report()
-            .unwrap()
+        let mut client = ServeClient::connect(addr).unwrap();
+        let stream = client.submit(&request("occupant", SLOW)).unwrap();
+        // `submit` returns only after ACCEPTED: the slot is now taken.
+        admitted_tx.send(()).unwrap();
+        stream.into_report().unwrap()
     });
+    admitted_rx
+        .recv()
+        .expect("the occupant thread failed before it was admitted");
     // ...then let the resilient client retry through the busy window.
     let latecomer = ResilientClient::new(addr.to_string())
         .retry_policy(RetryPolicy {
@@ -470,6 +473,10 @@ fn resilient_client_rides_out_busy_rejections() {
         })
         .run(&request("latecomer", SMALL))
         .unwrap();
+    assert!(
+        latecomer.attempts() > 1,
+        "the latecomer was admitted without riding out a busy rejection"
+    );
     assert_eq!(latecomer.into_report().unwrap(), expected_report(SMALL));
     assert_eq!(occupant.join().unwrap(), expected_report(SLOW));
     server.shutdown();

@@ -1,118 +1,12 @@
-//! Kernel execution mode shared by the compute hot paths.
-//!
-//! The workspace's numerical kernels come in two flavours.  The default,
-//! [`KernelMode::BitExact`], performs the reference sequence of IEEE-754
-//! operations in the reference order; its outputs are pinned bit-for-bit by
-//! golden traces and wire frames and must never drift.  The opt-in
-//! [`KernelMode::Fast`] lane is allowed to restructure the same mathematics —
-//! chunked/unrolled summation, reciprocal-based `powf` splits, recurrence
-//! strength reduction — trading bitwise identity for throughput while staying
-//! within a documented relative-error tolerance of the bit-exact lane.
-//!
-//! The mode is a plain value threaded from scenario construction down into
-//! the kernels, so a single simulation tree is either wholly bit-exact or
-//! wholly fast; nothing consults global state.
+//! The residue of a removed kernel-selection switch.
 
-/// Which implementation of the compute kernels a simulation runs.
-///
-/// # Examples
-///
-/// ```
-/// use teg_units::KernelMode;
-///
-/// assert_eq!(KernelMode::default(), KernelMode::BitExact);
-/// assert_eq!("fast".parse(), Ok(KernelMode::Fast));
-/// assert_eq!(KernelMode::Fast.token(), "fast");
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// A single-valued kernel selector kept only so out-of-tree
+/// `Reconfigurer` adapters that forward `set_kernel_mode` keep compiling.
+/// Every compute kernel in this workspace has exactly one, bit-exact,
+/// implementation; no workspace code reads or matches on this type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
-    /// Reference kernels: identical IEEE-754 operations in identical order,
-    /// outputs pinned by golden traces.  The default everywhere.
+    /// The reference kernels, pinned bit for bit by golden traces.
     #[default]
     BitExact,
-    /// Vectorised/restructured kernels: equivalent mathematics within a
-    /// documented relative-error tolerance, not bit-identical.
-    Fast,
-}
-
-impl KernelMode {
-    /// Compact lowercase token used in grid spec strings and wire payloads.
-    #[must_use]
-    pub fn token(self) -> &'static str {
-        match self {
-            Self::BitExact => "bitexact",
-            Self::Fast => "fast",
-        }
-    }
-
-    /// Returns `true` for the [`KernelMode::Fast`] lane.
-    #[must_use]
-    pub fn is_fast(self) -> bool {
-        self == Self::Fast
-    }
-}
-
-impl std::fmt::Display for KernelMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.token())
-    }
-}
-
-impl std::str::FromStr for KernelMode {
-    type Err = ParseKernelModeError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "bitexact" => Ok(Self::BitExact),
-            "fast" => Ok(Self::Fast),
-            other => Err(ParseKernelModeError {
-                token: other.to_string(),
-            }),
-        }
-    }
-}
-
-/// Error returned when a kernel-mode token is not recognised.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseKernelModeError {
-    token: String,
-}
-
-impl std::fmt::Display for ParseKernelModeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown kernel mode {:?} (expected \"bitexact\" or \"fast\")",
-            self.token
-        )
-    }
-}
-
-impl std::error::Error for ParseKernelModeError {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_is_bit_exact() {
-        assert_eq!(KernelMode::default(), KernelMode::BitExact);
-        assert!(!KernelMode::default().is_fast());
-        assert!(KernelMode::Fast.is_fast());
-    }
-
-    #[test]
-    fn tokens_round_trip() {
-        for mode in [KernelMode::BitExact, KernelMode::Fast] {
-            assert_eq!(mode.token().parse::<KernelMode>(), Ok(mode));
-            assert_eq!(mode.to_string(), mode.token());
-        }
-    }
-
-    #[test]
-    fn unknown_token_is_rejected_with_context() {
-        let err = "vector".parse::<KernelMode>().unwrap_err();
-        assert!(err.to_string().contains("vector"), "{err}");
-        assert!(err.to_string().contains("bitexact"), "{err}");
-    }
 }

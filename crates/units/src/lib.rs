@@ -42,7 +42,7 @@ mod time;
 pub use electrical::{Amps, Ohms, Siemens, Volts, Watts};
 pub use energy::Joules;
 pub use geometry::{Meters, SquareMeters};
-pub use kernel::{KernelMode, ParseKernelModeError};
+pub use kernel::KernelMode;
 pub use temperature::{Celsius, Kelvin, TemperatureDelta};
 pub use time::{Hertz, Milliseconds, Seconds};
 
