@@ -1,10 +1,11 @@
 //! Array configurations: partitions of the module chain into contiguous
 //! series-connected groups of parallel modules.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use crate::error::ArrayError;
-use crate::switches::SwitchBank;
+use crate::switches::{PairLink, SwitchBank};
 
 /// A contiguous run of modules forming one parallel group.
 ///
@@ -247,18 +248,47 @@ impl Configuration {
     /// Number of switch actuations (opens plus closes) needed to move from
     /// `self` to `other`.
     ///
+    /// A pair of adjacent modules is series-linked exactly when the second
+    /// module starts a group, so the two switch banks differ at the non-zero
+    /// group starts held by one configuration but not the other, and each
+    /// such pair flips its link at the cost of [`PairLink::toggles_to`].
+    /// One merge of the two sorted start lists counts them in `O(groups)`,
+    /// giving the same integer as comparing the full [`SwitchBank`]s.
+    ///
     /// # Errors
     ///
-    /// Returns [`ArrayError::DimensionMismatch`] if the two configurations
-    /// cover different module counts.
+    /// Returns [`ArrayError::InvalidConfiguration`] if the two
+    /// configurations cover different module counts.
     pub fn switch_toggles_to(&self, other: &Self) -> Result<usize, ArrayError> {
         if self.module_count != other.module_count {
-            return Err(ArrayError::DimensionMismatch {
-                modules: self.module_count,
-                temperatures: other.module_count,
+            return Err(ArrayError::InvalidConfiguration {
+                reason: format!(
+                    "configuration covers {} modules but the target configuration covers {}",
+                    self.module_count, other.module_count
+                ),
             });
         }
-        Ok(self.switch_bank().toggles_to(&other.switch_bank()))
+        // Skip the shared leading 0: it is no pair boundary.
+        let (ours, theirs) = (&self.group_starts[1..], &other.group_starts[1..]);
+        let (mut i, mut j, mut flipped) = (0, 0, 0);
+        while i < ours.len() && j < theirs.len() {
+            match ours[i].cmp(&theirs[j]) {
+                Ordering::Less => {
+                    flipped += 1;
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    flipped += 1;
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        flipped += (ours.len() - i) + (theirs.len() - j);
+        Ok(flipped * PairLink::Series.toggles_to(PairLink::Parallel))
     }
 }
 
@@ -377,7 +407,13 @@ mod tests {
     fn toggles_between_mismatched_sizes_fail() {
         let a = Configuration::uniform(10, 2).unwrap();
         let b = Configuration::uniform(12, 2).unwrap();
-        assert!(a.switch_toggles_to(&b).is_err());
+        let err = a.switch_toggles_to(&b).unwrap_err();
+        assert!(matches!(err, ArrayError::InvalidConfiguration { .. }));
+        assert_eq!(
+            err.to_string(),
+            "invalid configuration: configuration covers 10 modules \
+             but the target configuration covers 12"
+        );
     }
 
     proptest! {

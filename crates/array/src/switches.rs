@@ -187,6 +187,14 @@ mod tests {
     }
 
     #[test]
+    fn single_module_arrays_never_toggle() {
+        let a = Configuration::all_series(1).unwrap();
+        let b = Configuration::all_parallel(1).unwrap();
+        assert_eq!(a.switch_toggles_to(&b).unwrap(), 0);
+        assert_eq!(a.switch_bank().toggles_to(&b.switch_bank()), 0);
+    }
+
+    #[test]
     fn identical_configurations_need_no_toggles() {
         let a = Configuration::uniform(20, 4).unwrap();
         assert_eq!(a.switch_toggles_to(&a).unwrap(), 0);
@@ -221,6 +229,33 @@ mod tests {
             if ga == gb {
                 prop_assert_eq!(ab, 0);
             }
+        }
+
+        /// The `O(groups)` merge count of `Configuration::switch_toggles_to`
+        /// equals the reference comparison of the two full switch banks, for
+        /// arbitrary partitions (every pair boundary drawn from a mask),
+        /// single-module arrays included, and identical configurations cost
+        /// nothing.
+        #[test]
+        fn prop_merge_toggle_count_matches_switch_banks(
+            modules in 1usize..80,
+            mask_a in proptest::collection::vec(0usize..2, 79),
+            mask_b in proptest::collection::vec(0usize..2, 79),
+        ) {
+            let partition = |mask: &[usize]| {
+                let starts = std::iter::once(0)
+                    .chain((1..modules).filter(|&i| mask[i - 1] == 1))
+                    .collect();
+                Configuration::new(starts, modules).unwrap()
+            };
+            let a = partition(&mask_a);
+            let b = partition(&mask_b);
+            prop_assert_eq!(
+                a.switch_toggles_to(&b).unwrap(),
+                a.switch_bank().toggles_to(&b.switch_bank())
+            );
+            prop_assert_eq!(a.switch_toggles_to(&a).unwrap(), 0);
+            prop_assert_eq!(b.switch_toggles_to(&b).unwrap(), 0);
         }
 
         /// The number of series links equals the number of group boundaries.

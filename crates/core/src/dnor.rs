@@ -147,6 +147,11 @@ impl DnorConfig {
     /// autoregressive MLR to fit on several multiples of its window (the
     /// fit needs `window + 2` rows at minimum; more rows stabilise the
     /// least-squares solve without reintroducing unbounded history).
+    ///
+    /// The lookback sets the cost of the one fit per evaluation,
+    /// `O(lookback · window²)` on a single series.  The per-module forecast
+    /// reads only the last `window` rows, so it costs `O(N · window)`
+    /// whatever the lookback.
     #[must_use]
     pub const fn lookback(&self) -> usize {
         self.prediction_window * Self::TRAINING_SPAN_FACTOR + 2
@@ -201,13 +206,40 @@ impl Default for DnorConfig {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Dnor {
     config: DnorConfig,
     inner: Inor,
     periods_until_evaluation: usize,
     evaluations: usize,
     switches: usize,
+    scratch: Scratch,
+}
+
+/// Buffers recycled across evaluations, so a warmed-up DNOR evaluates
+/// without per-module allocation.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    solver: ArraySolver,
+    // The entrance module's series the shared MLR is fitted on.
+    reference: Vec<f64>,
+    // Per module, `window` tail samples followed by `horizon` forecasts.
+    recursion: Vec<f64>,
+    // Forecast rows: `horizon` rows of one temperature per module.
+    rows: Vec<Vec<f64>>,
+    deltas: Vec<TemperatureDelta>,
+}
+
+/// The scratch holds derived buffers only, so it stays out of scheme
+/// identity.
+impl PartialEq for Dnor {
+    fn eq(&self, other: &Self) -> bool {
+        self.config == other.config
+            && self.inner == other.inner
+            && self.periods_until_evaluation == other.periods_until_evaluation
+            && self.evaluations == other.evaluations
+            && self.switches == other.switches
+    }
 }
 
 impl Dnor {
@@ -221,6 +253,7 @@ impl Dnor {
             periods_until_evaluation: 0,
             evaluations: 0,
             switches: 0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -242,44 +275,70 @@ impl Dnor {
         self.switches
     }
 
-    /// Forecasts each module's temperature for the next `t_p` steps.
+    /// Forecasts each module's temperature for the next `t_p` steps into
+    /// the recycled forecast rows (`t_p` rows of one temperature per module)
+    /// and returns them.
     ///
     /// All module temperatures are driven by the same coolant inlet signal
     /// through the radiator model, so their autoregressive dynamics are
     /// identical: one MLR is fitted on the entrance module (the strongest
     /// signal) and its coefficients are applied to every module's own recent
-    /// window.  This keeps the prediction cost `O(N)` per evaluation, which
-    /// is what lets DNOR undercut INOR's amortised runtime.  Modules with too
+    /// window.  The fit costs `O(lookback · window²)` on that one series;
+    /// each module then reads only the last `window` rows of the telemetry
+    /// (which may wrap across the ring's two segments) and runs the
+    /// recursion in place, so the forecast costs `O(N · window)` per
+    /// evaluation — what lets DNOR undercut INOR's amortised runtime.  The
+    /// values are bit-identical to fitting on `module_series(0)` and calling
+    /// [`Predictor::forecast`] on every `module_series`.  Modules with too
     /// little history fall back to persistence (repeating their latest
     /// temperature), which is also what the paper's controller would do
     /// before its history buffer fills.
-    // `module` indexes both the window's series and the forecast rows.
-    #[allow(clippy::needless_range_loop)]
-    fn predict_rows(&self, window: &TelemetryWindow<'_>) -> Vec<Vec<f64>> {
+    fn predict_rows(&mut self, window: &TelemetryWindow<'_>) -> &[Vec<f64>] {
         let horizon = self.config.prediction_horizon;
         let ar_window = self.config.prediction_window;
         let modules = window.array().len();
-        let mut rows = vec![vec![0.0; modules]; horizon];
+        let history = window.history_len();
+        let Scratch {
+            reference,
+            recursion,
+            rows,
+            ..
+        } = &mut self.scratch;
+        rows.resize_with(horizon, Vec::new);
+        for row in rows.iter_mut() {
+            row.resize(modules, 0.0);
+        }
 
-        let reference = window.module_series(0);
-        let shared_model = if reference.len() >= ar_window + 2 {
+        let shared_model = if history >= ar_window + 2 {
+            reference.clear();
+            reference.extend(window.rows().map(|row| row[0]));
             let mut mlr =
                 MultipleLinearRegression::new(ar_window).expect("window validated at construction");
-            mlr.fit(&reference).ok().map(|()| mlr)
+            mlr.fit(reference).ok().map(|()| mlr)
         } else {
             None
         };
 
-        for module in 0..modules {
-            let series = window.module_series(module);
-            let forecast = match &shared_model {
-                Some(model) => model
-                    .forecast(&series, horizon)
-                    .unwrap_or_else(|_| vec![*series.last().expect("non-empty history"); horizon]),
-                None => vec![*series.last().expect("non-empty history"); horizon],
-            };
-            for (step, value) in forecast.into_iter().enumerate() {
-                rows[step][module] = value;
+        let Some(model) = shared_model else {
+            let latest = window.current_temperatures();
+            for row in rows.iter_mut() {
+                row.copy_from_slice(latest);
+            }
+            return rows;
+        };
+        let stride = ar_window + horizon;
+        recursion.resize(modules * stride, 0.0);
+        for (lag, t) in (history - ar_window..history).enumerate() {
+            for (chunk, &value) in recursion.chunks_exact_mut(stride).zip(window.row(t)) {
+                chunk[lag] = value;
+            }
+        }
+        for (module, chunk) in recursion.chunks_exact_mut(stride).enumerate() {
+            model
+                .forecast_in_place(chunk)
+                .expect("fitted model and a full window tail");
+            for (row, &value) in rows.iter_mut().zip(&chunk[ar_window..]) {
+                row[module] = value;
             }
         }
         rows
@@ -287,22 +346,30 @@ impl Dnor {
 
     /// Integrates the predicted array MPP energy of the incumbent and the
     /// candidate configuration over the current second plus the `t_p`
-    /// predicted seconds, sharing one batch solve per ΔT row.
+    /// forecast rows left by [`Dnor::predict_rows`], sharing one batch solve
+    /// per ΔT row.
     ///
+    /// The candidate's first term is the power INOR's scan returned for it.
     /// Also returns the incumbent's instantaneous MPP power (the first term
-    /// of its energy integral), which the switching-overhead gate needs —
-    /// the kernel is deterministic, so reusing the solve is exact.
+    /// of its energy integral), which the switching-overhead gate needs.
+    /// Both reuses are exact: the scan and [`ArraySolver::mpp_power`] run
+    /// one deterministic kernel.
     fn predicted_energies(
-        &self,
-        solver: &mut ArraySolver,
+        &mut self,
         window: &TelemetryWindow<'_>,
         incumbent: &Configuration,
         candidate: &Configuration,
+        candidate_power: Watts,
         current_deltas: &[TemperatureDelta],
-        predicted_rows: &[Vec<f64>],
     ) -> Result<(Joules, Joules, Watts), ReconfigError> {
         let step = self.config.period;
         let array = window.array();
+        let Scratch {
+            solver,
+            rows,
+            deltas,
+            ..
+        } = &mut self.scratch;
         // The per-module EMF/conductance terms are derived once per ΔT row
         // and amortised over both configurations; each configuration's
         // energy still accumulates in row order, so the sums are
@@ -313,10 +380,11 @@ impl Dnor {
         solver.load(array, current_deltas, None)?;
         let current_power = solver.mpp_power(incumbent)?;
         let mut energy_old = current_power * step;
-        let mut energy_new = solver.mpp_power(candidate)? * step;
-        for row in predicted_rows {
-            let deltas = TelemetryWindow::deltas_from_row(row, window.ambient());
-            solver.load(array, &deltas, None)?;
+        let mut energy_new = candidate_power * step;
+        for row in rows.iter() {
+            deltas.clear();
+            TelemetryWindow::deltas_from_row_into(row, window.ambient(), deltas);
+            solver.load(array, deltas, None)?;
             energy_old += solver.mpp_power(incumbent)? * step;
             energy_new += solver.mpp_power(candidate)? * step;
         }
@@ -364,20 +432,17 @@ impl Reconfigurer for Dnor {
         }
 
         self.evaluations += 1;
-        let mut solver = ArraySolver::new();
         let current_deltas = window.current_deltas();
-        let (candidate, _) =
+        let (candidate, candidate_power) =
             self.inner
-                .optimise_with(&mut solver, window.array(), &current_deltas)?;
-        let predicted_rows = self.predict_rows(window);
-
+                .optimise_with(&mut self.scratch.solver, window.array(), &current_deltas)?;
+        self.predict_rows(window);
         let (energy_old, energy_new, current_power) = self.predicted_energies(
-            &mut solver,
             window,
             current,
             &candidate,
+            candidate_power,
             &current_deltas,
-            &predicted_rows,
         )?;
 
         let toggles = current.switch_toggles_to(&candidate)?;
@@ -411,6 +476,7 @@ impl Reconfigurer for Dnor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::TelemetryBuffer;
     use teg_array::TegArray;
     use teg_device::{TegDatasheet, TegModule};
     use teg_units::Celsius;
@@ -523,6 +589,107 @@ mod tests {
         assert!(decision
             .configuration()
             .is_none_or(|c| c.module_count() == 10));
+    }
+
+    /// The per-module reference the tail-only forecast replaces: fit the
+    /// shared MLR on `module_series(0)` and call `Predictor::forecast` on
+    /// every module's full series, or repeat the latest sample when the
+    /// history is too short to fit.
+    fn reference_rows(window: &TelemetryWindow<'_>, config: &DnorConfig) -> Vec<Vec<f64>> {
+        let horizon = config.prediction_horizon();
+        let ar_window = config.prediction_window();
+        let modules = window.array().len();
+        let reference = window.module_series(0);
+        let model = (reference.len() >= ar_window + 2).then(|| {
+            let mut mlr = MultipleLinearRegression::new(ar_window).unwrap();
+            mlr.fit(&reference).unwrap();
+            mlr
+        });
+        let mut rows = vec![vec![0.0; modules]; horizon];
+        for module in 0..modules {
+            let series = window.module_series(module);
+            let forecast = match &model {
+                Some(mlr) => mlr.forecast(&series, horizon).unwrap(),
+                None => vec![*series.last().unwrap(); horizon],
+            };
+            for (row, value) in rows.iter_mut().zip(forecast) {
+                row[module] = value;
+            }
+        }
+        rows
+    }
+
+    fn row_bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        rows.iter()
+            .map(|row| row.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn forecast_rows_across_the_ring_wrap_match_the_per_module_reference() {
+        let modules = 12;
+        let a = array(modules);
+        let mut dnor = Dnor::default();
+        let capacity = dnor.config().lookback();
+        let ar_window = dnor.config().prediction_window();
+        let mut buffer = TelemetryBuffer::new(modules, capacity).unwrap();
+        let sample = |t: usize, module: usize| {
+            let t = t as f64;
+            95.0 - 1.1 * module as f64
+                + 2.5 * (0.07 * t).sin()
+                + 0.3 * (0.9 * t + module as f64).cos()
+        };
+        // Push past the capacity until the last `window` rows straddle the
+        // ring's older/newer segments.
+        let mut straddles = 0;
+        for t in 0..4 * capacity {
+            let row: Vec<f64> = (0..modules).map(|m| sample(t, m)).collect();
+            buffer.push_row(&row).unwrap();
+            let window = buffer.window(&a, Celsius::new(25.0)).unwrap();
+            let newer = window.newer_len();
+            if t < capacity || newer == 0 || newer >= ar_window {
+                continue;
+            }
+            straddles += 1;
+            let expected = reference_rows(&window, dnor.config());
+            assert_eq!(row_bits(dnor.predict_rows(&window)), row_bits(&expected));
+        }
+        assert!(
+            straddles > 0,
+            "the ring never wrapped inside the window tail"
+        );
+    }
+
+    #[test]
+    fn short_history_forecast_rows_repeat_the_latest_sample() {
+        let a = array(6);
+        let mut dnor = Dnor::default();
+        let short = dnor.config().prediction_window() + 1;
+        let mut buffer = TelemetryBuffer::new(6, dnor.config().lookback()).unwrap();
+        for t in 0..short {
+            let row: Vec<f64> = (0..6).map(|m| 90.0 - m as f64 + 0.5 * t as f64).collect();
+            buffer.push_row(&row).unwrap();
+        }
+        let window = buffer.window(&a, Celsius::new(25.0)).unwrap();
+        let expected = reference_rows(&window, dnor.config());
+        let rows = dnor.predict_rows(&window).to_vec();
+        assert_eq!(row_bits(&rows), row_bits(&expected));
+        assert_eq!(rows.len(), dnor.config().prediction_horizon());
+        for row in &rows {
+            assert_eq!(row.as_slice(), window.current_temperatures());
+        }
+    }
+
+    #[test]
+    fn scratch_stays_out_of_scheme_identity() {
+        let a = array(10);
+        let history = gradient_history(10, 10, 92.0);
+        let inputs = TelemetryWindow::new(&a, &history, Celsius::new(25.0)).unwrap();
+        let current = Configuration::uniform(10, 2).unwrap();
+        let mut used = Dnor::default();
+        used.decide(&inputs, &current).unwrap();
+        used.reset();
+        assert_eq!(used, Dnor::default());
     }
 
     #[test]

@@ -268,6 +268,14 @@ impl<'a> TelemetryWindow<'a> {
         self.older.len() + self.newer.len()
     }
 
+    /// Rows in the newer of the two chronological segments the window
+    /// borrows: non-zero once a ring buffer has wrapped, zero for a plain
+    /// slice.
+    #[cfg(test)]
+    pub(crate) fn newer_len(&self) -> usize {
+        self.newer.len()
+    }
+
     /// The `index`-th row of the window (°C), oldest first.
     ///
     /// # Panics

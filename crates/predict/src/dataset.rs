@@ -110,20 +110,6 @@ impl SlidingWindowDataset {
     pub const fn horizon(&self) -> usize {
         self.horizon
     }
-
-    /// The feature rows augmented with a trailing constant `1.0` (bias
-    /// column), as consumed by MLR's normal equations.
-    #[must_use]
-    pub fn features_with_bias(&self) -> Vec<Vec<f64>> {
-        self.features
-            .iter()
-            .map(|row| {
-                let mut r = row.clone();
-                r.push(1.0);
-                r
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -166,16 +152,6 @@ mod tests {
         let ds = SlidingWindowDataset::build(&series, 3, 1).unwrap();
         assert_eq!(ds.len(), 1);
         assert_eq!(ds.targets(), &[4.0]);
-    }
-
-    #[test]
-    fn bias_column_is_appended() {
-        let series = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let ds = SlidingWindowDataset::build(&series, 2, 1).unwrap();
-        for row in ds.features_with_bias() {
-            assert_eq!(row.len(), 3);
-            assert_eq!(*row.last().unwrap(), 1.0);
-        }
     }
 
     proptest! {

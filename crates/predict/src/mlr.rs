@@ -1,8 +1,7 @@
 //! Multiple linear regression (the predictor the paper selects).
 
-use crate::dataset::SlidingWindowDataset;
 use crate::error::PredictError;
-use crate::linalg::{design_times_targets, dot, gram_matrix, solve};
+use crate::linalg::{dot, solve};
 use crate::predictor::Predictor;
 
 /// Autoregressive multiple linear regression fitted by ridge-regularised
@@ -86,6 +85,36 @@ impl MultipleLinearRegression {
     }
 }
 
+/// Accumulates the ridge normal equations `XᵀX + λI` and `Xᵀy` of the
+/// bias-augmented sliding-window design straight from the series.
+///
+/// Row `s` of the design is `series[s..s + window]` followed by `1.0`, with
+/// target `series[s + window]`.  One reused row buffer is visited in row
+/// order with the same loops as [`gram_matrix`](crate::linalg::gram_matrix)
+/// and [`design_times_targets`](crate::linalg::design_times_targets), so
+/// every sum is bit-identical to building the dataset first.
+fn normal_equations(series: &[f64], window: usize, ridge: f64) -> (Vec<Vec<f64>>, Vec<f64>) {
+    let cols = window + 1;
+    let mut gram = vec![vec![0.0; cols]; cols];
+    let mut rhs = vec![0.0; cols];
+    let mut row = vec![1.0; cols];
+    for (s, &y) in series.iter().enumerate().skip(window) {
+        row[..window].copy_from_slice(&series[s - window..s]);
+        for (gram_row, &x) in gram.iter_mut().zip(&row) {
+            for (g, &other) in gram_row.iter_mut().zip(&row) {
+                *g += x * other;
+            }
+        }
+        for (r, &x) in rhs.iter_mut().zip(&row) {
+            *r += x * y;
+        }
+    }
+    for (i, gram_row) in gram.iter_mut().enumerate() {
+        gram_row[i] += ridge;
+    }
+    (gram, rhs)
+}
+
 impl Predictor for MultipleLinearRegression {
     fn name(&self) -> &'static str {
         "MLR"
@@ -95,11 +124,16 @@ impl Predictor for MultipleLinearRegression {
         self.window
     }
 
+    /// Fits by streaming the normal equations from the series: one pass of
+    /// `O(len · window²)` with no per-sample allocation.
     fn fit(&mut self, series: &[f64]) -> Result<(), PredictError> {
-        let dataset = SlidingWindowDataset::build(series, self.window, 1)?;
-        let design = dataset.features_with_bias();
-        let gram = gram_matrix(&design, self.ridge);
-        let rhs = design_times_targets(&design, dataset.targets());
+        if series.len() <= self.window {
+            return Err(PredictError::InsufficientData {
+                needed: self.window + 1,
+                available: series.len(),
+            });
+        }
+        let (gram, rhs) = normal_equations(series, self.window, self.ridge);
         let coefficients = solve(gram, rhs)?;
         self.coefficients = Some(coefficients);
         Ok(())
@@ -129,7 +163,33 @@ impl Predictor for MultipleLinearRegression {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::SlidingWindowDataset;
+    use crate::linalg::{design_times_targets, gram_matrix};
     use crate::metrics::mape;
+    use proptest::prelude::*;
+
+    /// The dataset-based fit the streamed normal equations replace: build
+    /// the sliding-window dataset, append the bias column, form `XᵀX + λI`
+    /// and `Xᵀy`, and solve.
+    fn reference_fit(series: &[f64], window: usize, ridge: f64) -> Result<Vec<f64>, PredictError> {
+        let dataset = SlidingWindowDataset::build(series, window, 1)?;
+        let design: Vec<Vec<f64>> = dataset
+            .features()
+            .iter()
+            .map(|row| {
+                let mut r = row.clone();
+                r.push(1.0);
+                r
+            })
+            .collect();
+        let gram = gram_matrix(&design, ridge);
+        let rhs = design_times_targets(&design, dataset.targets());
+        solve(gram, rhs)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
 
     #[test]
     fn construction_validation() {
@@ -217,10 +277,98 @@ mod tests {
     }
 
     #[test]
+    fn streamed_fit_matches_the_dataset_fit_at_the_length_boundary() {
+        let mut m = MultipleLinearRegression::new(5).unwrap();
+        // `window + 1` samples: the one-row design is still fitted.
+        let minimal = [90.0, 90.5, 91.25, 91.0, 92.0, 92.5];
+        m.fit(&minimal).unwrap();
+        let reference = reference_fit(&minimal, 5, 1e-6).unwrap();
+        assert_eq!(bits(m.coefficients().unwrap()), bits(&reference));
+        // One sample fewer fails exactly as the dataset does.
+        let mut m = MultipleLinearRegression::new(5).unwrap();
+        let short = &minimal[..5];
+        assert_eq!(
+            m.fit(short).unwrap_err(),
+            reference_fit(short, 5, 1e-6).unwrap_err()
+        );
+        assert_eq!(
+            m.fit(short).unwrap_err(),
+            PredictError::InsufficientData {
+                needed: 6,
+                available: 5
+            }
+        );
+        assert!(!m.is_fitted());
+    }
+
+    #[test]
     fn coefficients_have_window_plus_one_entries() {
         let series: Vec<f64> = (0..30).map(|i| (i as f64).sqrt()).collect();
         let mut m = MultipleLinearRegression::new(6).unwrap();
         m.fit(&series).unwrap();
         assert_eq!(m.coefficients().unwrap().len(), 7);
+    }
+
+    proptest! {
+        /// Streaming the normal equations from the series gives coefficients
+        /// bit-identical to the dataset + `gram_matrix` +
+        /// `design_times_targets` + `solve` path, down to the shortest
+        /// fittable series (`window + 1` samples), and fails the same way
+        /// when the series is too short.
+        #[test]
+        fn prop_streamed_fit_is_bit_identical_to_the_dataset_fit(
+            window in 1usize..8,
+            extra in 0usize..40,
+            level in 60.0_f64..100.0,
+            noise in proptest::collection::vec(-2.0_f64..2.0, 48),
+        ) {
+            let len = (window + 1 + extra).min(noise.len());
+            let series: Vec<f64> = noise[..len]
+                .iter()
+                .enumerate()
+                .map(|(t, n)| level + 0.1 * t as f64 + n)
+                .collect();
+            let mut m = MultipleLinearRegression::new(window).unwrap();
+            match (m.fit(&series), reference_fit(&series, window, 1e-6)) {
+                (Ok(()), Ok(reference)) => {
+                    prop_assert_eq!(bits(m.coefficients().unwrap()), bits(&reference));
+                }
+                (Err(streamed), Err(reference)) => prop_assert_eq!(streamed, reference),
+                (streamed, reference) => {
+                    prop_assert!(false, "streamed {:?} vs reference {:?}", streamed, reference);
+                }
+            }
+            let short = &series[..window];
+            prop_assert_eq!(
+                m.fit(short).unwrap_err(),
+                reference_fit(short, window, 1e-6).unwrap_err()
+            );
+        }
+
+        /// The in-place recursion reproduces `Predictor::forecast` and a
+        /// rolling-window recursion (drop the oldest sample, append the
+        /// prediction) bit for bit from the same history tail.
+        #[test]
+        fn prop_forecast_in_place_matches_forecast(
+            window in 1usize..7,
+            horizon in 1usize..6,
+            series in proptest::collection::vec(80.0_f64..95.0, 20..48),
+        ) {
+            let mut m = MultipleLinearRegression::new(window).unwrap();
+            prop_assume!(m.fit(&series).is_ok());
+            let mut rolling = series[series.len() - window..].to_vec();
+            let mut expected = Vec::new();
+            for _ in 0..horizon {
+                let next = m.predict_next(&rolling).unwrap();
+                expected.push(next);
+                rolling.remove(0);
+                rolling.push(next);
+            }
+            let mut buffer = series[series.len() - window..].to_vec();
+            buffer.resize(window + horizon, 0.0);
+            m.forecast_in_place(&mut buffer).unwrap();
+            prop_assert_eq!(bits(&buffer[window..]), bits(&expected));
+            prop_assert_eq!(bits(&m.forecast(&series, horizon).unwrap()), bits(&expected));
+        }
     }
 }

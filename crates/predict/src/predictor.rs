@@ -52,9 +52,35 @@ pub trait Predictor {
     /// [`PredictError::InsufficientData`] for a too-short history.
     fn predict_next(&self, history: &[f64]) -> Result<f64, PredictError>;
 
+    /// Runs the autoregressive recursion in place: the first
+    /// [`Predictor::window`] entries of `buffer` hold the history tail
+    /// (oldest first) and every later entry is overwritten with
+    /// [`Predictor::predict_next`] of the `window` entries before it.  A
+    /// caller forecasting many series reuses one buffer and allocates
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`Predictor::predict_next`];
+    /// [`PredictError::InsufficientData`] when `buffer` is shorter than the
+    /// window.
+    fn forecast_in_place(&self, buffer: &mut [f64]) -> Result<(), PredictError> {
+        let window = self.window();
+        if buffer.len() < window {
+            return Err(PredictError::InsufficientData {
+                needed: window,
+                available: buffer.len(),
+            });
+        }
+        for next in window..buffer.len() {
+            buffer[next] = self.predict_next(&buffer[next - window..next])?;
+        }
+        Ok(())
+    }
+
     /// Iteratively forecasts `horizon` future samples by feeding each
     /// prediction back as input (the standard multi-step strategy for
-    /// autoregressive models).
+    /// autoregressive models), through [`Predictor::forecast_in_place`].
     ///
     /// # Errors
     ///
@@ -74,15 +100,12 @@ pub trait Predictor {
                 available: history.len(),
             });
         }
-        let mut rolling: Vec<f64> = history[history.len() - window..].to_vec();
-        let mut out = Vec::with_capacity(horizon);
-        for _ in 0..horizon {
-            let next = self.predict_next(&rolling)?;
-            out.push(next);
-            rolling.remove(0);
-            rolling.push(next);
-        }
-        Ok(out)
+        let mut buffer = Vec::with_capacity(window + horizon);
+        buffer.extend_from_slice(&history[history.len() - window..]);
+        buffer.resize(window + horizon, 0.0);
+        self.forecast_in_place(&mut buffer)?;
+        buffer.drain(..window);
+        Ok(buffer)
     }
 }
 
@@ -140,6 +163,30 @@ mod tests {
         p.fit(&[1.0, 2.0, 3.0]).unwrap();
         let f = p.forecast(&[1.0, 2.0, 3.0], 4).unwrap();
         assert_eq!(f, vec![3.0, 3.0, 3.0, 3.0]);
+    }
+
+    #[test]
+    fn forecast_in_place_fills_the_slots_after_the_window() {
+        let mut p = Persistence { fitted: false };
+        let mut buffer = [1.0, 2.0, 0.0, 0.0];
+        assert_eq!(
+            p.forecast_in_place(&mut buffer),
+            Err(PredictError::NotFitted)
+        );
+        p.fit(&[1.0, 2.0]).unwrap();
+        p.forecast_in_place(&mut buffer).unwrap();
+        assert_eq!(buffer, [1.0, 2.0, 2.0, 2.0]);
+        assert!(matches!(
+            p.forecast_in_place(&mut buffer[..1]),
+            Err(PredictError::InsufficientData {
+                needed: 2,
+                available: 1
+            })
+        ));
+        // A buffer holding only the window has nothing to forecast.
+        let mut tail = [5.0, 6.0];
+        p.forecast_in_place(&mut tail).unwrap();
+        assert_eq!(tail, [5.0, 6.0]);
     }
 
     #[test]
