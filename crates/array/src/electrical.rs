@@ -23,8 +23,9 @@ use teg_units::{Amps, TemperatureDelta, Volts, Watts};
 
 use crate::configuration::Configuration;
 use crate::error::ArrayError;
-use crate::fault::{FaultState, ModuleFault};
+use crate::fault::FaultState;
 use crate::solver::{ArraySolver, SolvedPoint};
+use crate::terms::CoefficientColumns;
 
 /// The solved state of one parallel group at a given string current.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,9 +120,14 @@ impl ArrayOperatingPoint {
 
 /// A chain of TEG modules plus the electrical solver that evaluates any
 /// configuration of them.
+///
+/// The modules' Eq. 2 coefficients are also kept as one column per field,
+/// built once at construction, so the solver turns a whole ΔT row into
+/// Norton terms in one loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TegArray {
     modules: Vec<TegModule>,
+    columns: CoefficientColumns,
 }
 
 impl TegArray {
@@ -135,7 +141,8 @@ impl TegArray {
         if modules.is_empty() {
             return Err(ArrayError::EmptyArray);
         }
-        Ok(Self { modules })
+        let columns = CoefficientColumns::from_modules(&modules);
+        Ok(Self { modules, columns })
     }
 
     /// Creates an array of `count` identical modules (the paper's setting).
@@ -146,9 +153,9 @@ impl TegArray {
     #[must_use]
     pub fn uniform(module: TegModule, count: usize) -> Self {
         assert!(count > 0, "array needs at least one module");
-        Self {
-            modules: vec![module; count],
-        }
+        let modules = vec![module; count];
+        let columns = CoefficientColumns::from_modules(&modules);
+        Self { modules, columns }
     }
 
     /// Number of modules in the array.
@@ -168,6 +175,11 @@ impl TegArray {
     #[must_use]
     pub fn modules(&self) -> &[TegModule] {
         &self.modules
+    }
+
+    /// The modules' coefficients, one column per field, for the row kernel.
+    pub(crate) const fn columns(&self) -> &CoefficientColumns {
+        &self.columns
     }
 
     /// Per-module MPP currents for the given temperature differences — the
@@ -344,7 +356,9 @@ impl TegArray {
     /// The effective Thévenin source of one module under an optional fault
     /// state: `None` for an open-circuited module, otherwise its conductance
     /// and (possibly derated) EMF.  Short circuits are a *group*-level
-    /// condition and are handled by the caller.
+    /// condition and are handled by the caller.  This is the per-module
+    /// reference the solver's row kernel is tested against.
+    #[cfg(test)]
     pub(crate) fn module_source(
         &self,
         index: usize,
@@ -352,12 +366,12 @@ impl TegArray {
         faults: Option<&FaultState>,
     ) -> Option<(f64, f64)> {
         let fault = faults.and_then(|f| f.module_fault(index));
-        if matches!(fault, Some(ModuleFault::OpenCircuit)) {
+        if matches!(fault, Some(crate::ModuleFault::OpenCircuit)) {
             return None;
         }
         let g = self.modules[index].internal_conductance(delta);
         let mut e = self.modules[index].open_circuit_voltage(delta).value();
-        if let Some(ModuleFault::Derated(factor)) = fault {
+        if let Some(crate::ModuleFault::Derated(factor)) = fault {
             e *= factor;
         }
         Some((g, e))

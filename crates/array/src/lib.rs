@@ -59,6 +59,7 @@ mod ideal;
 mod overhead;
 mod solver;
 mod switches;
+mod terms;
 
 pub use configuration::{Configuration, Group};
 pub use electrical::{ArrayOperatingPoint, GroupOperatingPoint, TegArray};
@@ -66,5 +67,5 @@ pub use error::ArrayError;
 pub use fault::{FaultState, ModuleFault, SwitchStuck};
 pub use ideal::ideal_power;
 pub use overhead::{OverheadBreakdown, SwitchingOverheadModel};
-pub use solver::{ArrayPlan, ArraySolver, GroupSumMemo, SolvedPoint};
+pub use solver::{ArrayPlan, ArraySolver, GroupSumMemo, PartitionPricer, SolvedPoint};
 pub use switches::{PairLink, SwitchBank};

@@ -16,8 +16,12 @@
 //! * [`ArraySolver`] — caller-owned scratch buffers plus the one solve
 //!   kernel.  After the buffers warm up, every solve is allocation-free.
 //!   [`ArraySolver::load`] derives the per-module EMF/conductance terms for
-//!   one ΔT vector **once**, and [`ArraySolver::evaluate_candidates`]
-//!   amortises them across any number of candidate configurations.
+//!   one ΔT vector **once**, in one loop over the array's coefficient
+//!   columns, and [`ArraySolver::evaluate_candidates`] amortises them
+//!   across any number of candidate configurations.
+//! * [`ArraySolver::load_mpp`] and [`PartitionPricer`] — the fused scan:
+//!   the load also yields every module's MPP current, and a greedy
+//!   partitioner prices each candidate group by group while it builds it.
 //!
 //! The kernel performs the same IEEE-754 operations in the same order as
 //! the original per-call path, so results are **bit-identical** — the
@@ -291,6 +295,8 @@ pub struct ArraySolver {
     ge: Vec<f64>,
     connected: Vec<bool>,
     short: Vec<bool>,
+    // EMF derating factors of the last faulted `load`.
+    emf_factor: Vec<f64>,
     // Per-group Norton sums of the most recent evaluation.
     group_s: Vec<f64>,
     group_g: Vec<f64>,
@@ -340,56 +346,110 @@ impl ArraySolver {
             }
         }
         self.reset_terms(n);
-        // Parallel indexing of the scratch arrays and the ΔT vector.
-        #[allow(clippy::needless_range_loop)]
+        let columns = array.columns();
+        let Some(faults) = faults else {
+            columns.fill(deltas, None, &mut self.g, &mut self.ge);
+            return Ok(());
+        };
+        self.emf_factor.clear();
         for i in 0..n {
-            self.short[i] =
-                faults.is_some_and(|f| f.module_fault(i) == Some(ModuleFault::ShortCircuit));
-            match array.module_source(i, deltas[i], faults) {
-                Some((g, e)) => {
-                    self.g[i] = g;
-                    self.ge[i] = g * e;
-                    self.connected[i] = true;
+            let factor = match faults.module_fault(i) {
+                Some(ModuleFault::OpenCircuit) => {
+                    self.connected[i] = false;
+                    1.0
                 }
-                None => self.connected[i] = false,
-            }
+                Some(ModuleFault::ShortCircuit) => {
+                    self.short[i] = true;
+                    1.0
+                }
+                Some(ModuleFault::Derated(factor)) => factor,
+                None => 1.0,
+            };
+            self.emf_factor.push(factor);
         }
+        columns.fill(deltas, Some(&self.emf_factor), &mut self.g, &mut self.ge);
         Ok(())
+    }
+
+    /// [`ArraySolver::load`] without faults, fused with every module's
+    /// maximum power point: writes `I_MPP,i = E_i/(2R_i)` into
+    /// `mpp_currents` (resized to the module count) and returns
+    /// `Σ V_MPP,i = Σ E_i/2`, all from one pass over the row.  The loaded
+    /// terms are the ones [`ArraySolver::load`] leaves, bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArrayError::DimensionMismatch`] when the ΔT vector length
+    /// does not match the array.
+    pub fn load_mpp(
+        &mut self,
+        array: &TegArray,
+        deltas: &[TemperatureDelta],
+        mpp_currents: &mut Vec<Amps>,
+    ) -> Result<f64, ArrayError> {
+        let n = array.len();
+        if deltas.len() != n {
+            return Err(ArrayError::DimensionMismatch {
+                modules: n,
+                temperatures: deltas.len(),
+            });
+        }
+        self.reset_terms(n);
+        mpp_currents.resize(n, Amps::ZERO);
+        Ok(array
+            .columns()
+            .fill_with_mpp(deltas, &mut self.g, &mut self.ge, mpp_currents))
     }
 
     /// Loads per-module terms through a compiled plan's fault constants.
     fn load_plan(&mut self, array: &TegArray, plan: &ArrayPlan, deltas: &[TemperatureDelta]) {
-        let n = plan.module_count;
-        self.reset_terms(n);
-        let modules = array.modules();
-        for i in 0..n {
-            self.short[i] = plan.short[i];
-            if !plan.connected[i] {
-                self.connected[i] = false;
-                continue;
-            }
-            let g = modules[i].internal_conductance(deltas[i]);
-            // Multiplying a healthy module's EMF by 1.0 is exact, so the
-            // branch-free form matches the fault-aware path bit for bit.
-            let e = modules[i].open_circuit_voltage(deltas[i]).value() * plan.emf_factor[i];
-            self.g[i] = g;
-            self.ge[i] = g * e;
-            self.connected[i] = true;
-        }
-        self.loaded_modules = n;
+        self.reset_terms(plan.module_count);
+        self.connected.copy_from_slice(&plan.connected);
+        self.short.copy_from_slice(&plan.short);
+        array
+            .columns()
+            .fill(deltas, Some(&plan.emf_factor), &mut self.g, &mut self.ge);
     }
 
+    /// Stamps a fresh generation and resets the per-module flags to
+    /// healthy; the kernel then overwrites every term.  The terms of a
+    /// disconnected module are never read.
     fn reset_terms(&mut self, n: usize) {
         self.load_generation = next_generation();
         self.loaded_modules = n;
-        self.g.clear();
         self.g.resize(n, 0.0);
-        self.ge.clear();
         self.ge.resize(n, 0.0);
         self.connected.clear();
         self.connected.resize(n, true);
         self.short.clear();
         self.short.resize(n, false);
+    }
+
+    /// Starts pricing a partition that the caller builds module by module
+    /// against the loaded terms (see [`PartitionPricer`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArrayError::InvalidConfiguration`] when no terms are
+    /// loaded.
+    pub fn price_partition(&mut self) -> Result<PartitionPricer<'_>, ArrayError> {
+        if self.loaded_modules == 0 {
+            return Err(ArrayError::InvalidConfiguration {
+                reason: "solver has no ΔT terms loaded; call ArraySolver::load first".to_owned(),
+            });
+        }
+        self.group_s.clear();
+        self.group_g.clear();
+        self.group_shorted.clear();
+        Ok(PartitionPricer {
+            solver: self,
+            next: 0,
+            group_start: 0,
+            s: 0.0,
+            g: 0.0,
+            shorted: false,
+            broken: false,
+        })
     }
 
     /// Analytic maximum power point of one candidate against the loaded
@@ -750,6 +810,120 @@ impl ArraySolver {
     }
 }
 
+/// Prices a partition that its caller builds on the fly, module by module,
+/// against an [`ArraySolver`]'s loaded terms.
+///
+/// A greedy partitioner decides group boundaries by walking the modules in
+/// order; handing each module it assigns to [`PartitionPricer::take_next`]
+/// accumulates the group's Norton sums in that same walk, and
+/// [`PartitionPricer::close_group`] ends each group.  The sums are added in
+/// module order, exactly as [`ArraySolver::mpp_power`] adds them, so
+/// [`PartitionPricer::finish`] returns the same bits as pricing the
+/// finished [`Configuration`] — without building one.
+///
+/// # Examples
+///
+/// ```
+/// use teg_array::{ArraySolver, Configuration, TegArray};
+/// use teg_device::{TegDatasheet, TegModule};
+/// use teg_units::TemperatureDelta;
+///
+/// # fn main() -> Result<(), teg_array::ArrayError> {
+/// let module = TegModule::from_datasheet(&TegDatasheet::tgm_199_1_4_0_8());
+/// let array = TegArray::uniform(module, 5);
+/// let deltas: Vec<_> = (0..5).map(|i| TemperatureDelta::new(60.0 - 4.0 * i as f64)).collect();
+/// let mut solver = ArraySolver::new();
+/// solver.load(&array, &deltas, None)?;
+/// // Groups {0, 1} and {2, 3, 4}.
+/// let mut pricer = solver.price_partition()?;
+/// for group in [2, 3] {
+///     for _ in 0..group {
+///         pricer.take_next();
+///     }
+///     pricer.close_group();
+/// }
+/// let power = pricer.finish();
+/// let config = Configuration::new(vec![0, 2], 5)?;
+/// assert_eq!(power, solver.mpp_power(&config)?);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct PartitionPricer<'a> {
+    solver: &'a mut ArraySolver,
+    // The next module to take, and the first module of the open group.
+    next: usize,
+    group_start: usize,
+    // Norton sums of the open group.
+    s: f64,
+    g: f64,
+    shorted: bool,
+    // Whether a closed group is fully open and not shorted.
+    broken: bool,
+}
+
+impl PartitionPricer<'_> {
+    /// Adds the next module in chain order to the open group.
+    ///
+    /// # Panics
+    ///
+    /// Panics when every loaded module has already been taken.
+    #[inline]
+    pub fn take_next(&mut self) {
+        let i = self.next;
+        let solver = &*self.solver;
+        self.shorted |= solver.short[i];
+        if solver.connected[i] {
+            self.s += solver.ge[i];
+            self.g += solver.g[i];
+        }
+        self.next = i + 1;
+    }
+
+    /// Closes the open group; the next module taken opens a new one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the open group holds no module.
+    #[inline]
+    pub fn close_group(&mut self) {
+        assert!(
+            self.next > self.group_start,
+            "a group needs at least one module"
+        );
+        self.broken |= self.g <= 0.0 && !self.shorted;
+        self.solver.group_s.push(self.s);
+        self.solver.group_g.push(self.g);
+        self.solver.group_shorted.push(self.shorted);
+        self.group_start = self.next;
+        self.s = 0.0;
+        self.g = 0.0;
+        self.shorted = false;
+    }
+
+    /// The MPP power of the closed groups, bit-identical to
+    /// [`ArraySolver::mpp_power`] on the same partition.  Per-group detail
+    /// lands in [`ArraySolver::group_points`] as after any solve.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every loaded module was taken and the last group
+    /// closed.
+    pub fn finish(self) -> Watts {
+        assert!(
+            self.next == self.solver.loaded_modules && self.group_start == self.next,
+            "a partition must cover every module in closed groups"
+        );
+        let n = self.solver.group_s.len();
+        let point = if self.broken {
+            self.solver.zero_point(n)
+        } else {
+            self.solver.mpp_from_groups(n)
+        };
+        point.power()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -758,6 +932,28 @@ mod tests {
 
     fn module() -> TegModule {
         TegModule::from_datasheet(&TegDatasheet::tgm_199_1_4_0_8())
+    }
+
+    /// A non-uniform array: plain and drifting-material modules alternate,
+    /// each scaled by its own Seebeck and resistance factors.
+    fn mixed_array(n: usize, spread: f64) -> TegArray {
+        let datasheet = TegDatasheet::tgm_199_1_4_0_8();
+        let drifting = TegModule::with_material(
+            &datasheet,
+            teg_device::ThermoelectricMaterial::bismuth_telluride_with_drift(),
+        );
+        let modules = (0..n)
+            .map(|i| {
+                let base = if i % 2 == 0 {
+                    module()
+                } else {
+                    drifting.clone()
+                };
+                let k = i as f64 / n as f64 - 0.5;
+                base.scaled(1.0 + spread * k, 1.0 - spread * k).unwrap()
+            })
+            .collect();
+        TegArray::new(modules).unwrap()
     }
 
     fn gradient_deltas(n: usize, base: f64, span: f64) -> Vec<TemperatureDelta> {
@@ -1115,5 +1311,134 @@ mod tests {
             .is_err());
         // On error `out` is untouched, exactly like the direct scan.
         assert_eq!(out.len(), 1);
+    }
+
+    proptest! {
+        /// The faulted `load` and the plan load put the same terms in the
+        /// solver as the per-module `module_source` reference, bit for bit:
+        /// open modules disconnected, shorted modules flagged, derated
+        /// modules with a scaled EMF.
+        #[test]
+        fn prop_faulted_loads_match_the_module_source_reference(
+            n in 1usize..30,
+            base in -10.0_f64..120.0,
+            span in -40.0_f64..40.0,
+            spread in 0.0_f64..0.5,
+            fault_mask in 0u64..u64::MAX,
+            partition_seed in 0u64..u64::MAX,
+        ) {
+            let array = mixed_array(n, spread);
+            let deltas = gradient_deltas(n, base, span);
+            let faults = fault_pattern(n, fault_mask);
+            let config = partition_from_mask(n, partition_seed);
+            let plan = ArrayPlan::compile(&array, &config, Some(&faults)).unwrap();
+            let mut loaded = ArraySolver::new();
+            loaded.load(&array, &deltas, Some(&faults)).unwrap();
+            let mut planned = ArraySolver::new();
+            planned.solve_mpp(&array, &plan, &deltas).unwrap();
+            for solver in [&loaded, &planned] {
+                prop_assert_eq!(solver.loaded_modules, n);
+                for (i, &dt) in deltas.iter().enumerate() {
+                    let shorted = faults.module_fault(i) == Some(ModuleFault::ShortCircuit);
+                    prop_assert_eq!(solver.short[i], shorted);
+                    match array.module_source(i, dt, Some(&faults)) {
+                        None => prop_assert!(!solver.connected[i]),
+                        Some((g, e)) => {
+                            prop_assert!(solver.connected[i]);
+                            prop_assert_eq!(solver.g[i].to_bits(), g.to_bits());
+                            prop_assert_eq!(solver.ge[i].to_bits(), (g * e).to_bits());
+                        }
+                    }
+                }
+            }
+        }
+
+        /// `load_mpp` loads the terms `load` loads, and its MPP currents and
+        /// voltage sum are the per-module `mpp` values bit for bit.
+        #[test]
+        fn prop_load_mpp_fuses_load_and_the_module_mpps(
+            n in 1usize..30,
+            base in -10.0_f64..120.0,
+            span in -40.0_f64..40.0,
+            spread in 0.0_f64..0.5,
+        ) {
+            let array = mixed_array(n, spread);
+            let deltas = gradient_deltas(n, base, span);
+            let mut fused = ArraySolver::new();
+            let mut currents = vec![Amps::new(9.0); 3];
+            let vmpp_sum = fused.load_mpp(&array, &deltas, &mut currents).unwrap();
+            let mut plain = ArraySolver::new();
+            plain.load(&array, &deltas, None).unwrap();
+            prop_assert_eq!(&fused.g, &plain.g);
+            prop_assert_eq!(&fused.ge, &plain.ge);
+            prop_assert_eq!(&fused.connected, &plain.connected);
+            prop_assert_eq!(&fused.short, &plain.short);
+            let reference = array.mpp_currents(&deltas).unwrap();
+            prop_assert_eq!(currents.len(), n);
+            for (got, want) in currents.iter().zip(&reference) {
+                prop_assert_eq!(got.value().to_bits(), want.value().to_bits());
+            }
+            let want_sum: f64 = array
+                .modules()
+                .iter()
+                .zip(&deltas)
+                .map(|(m, &dt)| m.mpp(dt).voltage().value())
+                .sum();
+            prop_assert_eq!(vmpp_sum.to_bits(), want_sum.to_bits());
+        }
+
+        /// Pricing a partition group by group as it is built gives the bits
+        /// `mpp_power` gives for the finished configuration, healthy and
+        /// faulted (including broken strings and shorted groups).
+        #[test]
+        fn prop_pricer_matches_mpp_power_bitwise(
+            n in 1usize..30,
+            base in 0.0_f64..100.0,
+            span in -30.0_f64..40.0,
+            partition_seed in 0u64..u64::MAX,
+            fault_mask in 0u64..u64::MAX,
+        ) {
+            let array = mixed_array(n, 0.3);
+            let deltas = gradient_deltas(n, base, span);
+            let faults = fault_pattern(n, fault_mask);
+            let config = partition_from_mask(n, partition_seed);
+            let mut solver = ArraySolver::new();
+            for active in [None, Some(&faults)] {
+                solver.load(&array, &deltas, active).unwrap();
+                let mut pricer = solver.price_partition().unwrap();
+                for group in config.groups() {
+                    for _ in group.indices() {
+                        pricer.take_next();
+                    }
+                    pricer.close_group();
+                }
+                let priced = pricer.finish();
+                let groups = solver.group_points().to_vec();
+                let direct = solver.mpp_power(&config).unwrap();
+                prop_assert_eq!(priced.value().to_bits(), direct.value().to_bits());
+                prop_assert_eq!(groups.as_slice(), solver.group_points());
+            }
+        }
+    }
+
+    #[test]
+    fn pricer_rejects_unloaded_solvers_and_incomplete_partitions() {
+        assert!(ArraySolver::new().price_partition().is_err());
+        let array = TegArray::uniform(module(), 3);
+        let deltas = gradient_deltas(3, 40.0, 10.0);
+        let mut solver = ArraySolver::new();
+        solver.load(&array, &deltas, None).unwrap();
+        let unfinished = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut pricer = solver.price_partition().unwrap();
+            pricer.take_next();
+            pricer.close_group();
+            pricer.finish()
+        }));
+        assert!(unfinished.is_err());
+        let empty_group = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut pricer = solver.price_partition().unwrap();
+            pricer.close_group();
+        }));
+        assert!(empty_group.is_err());
     }
 }

@@ -7,7 +7,10 @@
 //! directory (and a human-readable table on stdout) so CI can archive the
 //! perf trajectory of the electrical kernel across commits.  The two paths
 //! are asserted to agree **bitwise** before any timing happens, so the
-//! binary doubles as a release-mode equivalence smoke check.  The process
+//! binary doubles as a release-mode equivalence smoke check; for INOR it
+//! also checks that the fused scan (`Inor::optimise`, which prices each
+//! candidate while building it) picks the reference scan's configuration
+//! and power bit for bit.  The process
 //! **exits non-zero** if the smallest compiled-vs-legacy speedup drops below
 //! the acceptance floor; both sides are timed in the same run, so the ratio
 //! is robust to the host's absolute speed.
@@ -97,6 +100,24 @@ fn measure(scheme: &'static str, modules: usize) -> Case {
             batch.value().to_bits(),
             legacy.value().to_bits(),
             "batch kernel diverged from the legacy path on {scheme} n={modules}"
+        );
+    }
+    if scheme == "INOR" {
+        // INOR prices each candidate in the walk that builds it; it must
+        // pick the reference scan's earliest maximum, bit for bit.
+        let mut best = 0;
+        for (i, power) in powers.iter().enumerate() {
+            if *power > powers[best] {
+                best = i;
+            }
+        }
+        let (fused, fused_power) = Inor::default()
+            .optimise(&array, &deltas)
+            .expect("INOR scan");
+        assert!(
+            fused == candidates[best]
+                && fused_power.value().to_bits() == powers[best].value().to_bits(),
+            "fused INOR scan diverged from the reference scan on n={modules}"
         );
     }
 

@@ -49,7 +49,7 @@ use teg_units::{Amps, Seconds, TemperatureDelta, Watts};
 
 use crate::ehtr::Ehtr;
 use crate::error::ReconfigError;
-use crate::inor::{Inor, InorConfig};
+use crate::inor::{Inor, InorConfig, RowPass};
 use crate::telemetry::TelemetryWindow;
 use crate::traits::{ReconfigDecision, Reconfigurer};
 
@@ -217,9 +217,6 @@ impl Default for AcoConfig {
 #[derive(Debug, Clone)]
 pub struct AcoReconfigurer {
     config: AcoConfig,
-    /// Embedded INOR: supplies the group-count window and the balanced
-    /// partitions seeding the colony.
-    inner: Inor,
     rng: ChaCha8Rng,
 }
 
@@ -228,11 +225,7 @@ impl AcoReconfigurer {
     #[must_use]
     pub fn new(config: AcoConfig) -> Self {
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
-        Self {
-            inner: Inor::new(config.inor.clone()),
-            config,
-            rng,
-        }
+        Self { config, rng }
     }
 
     /// The tuning parameters in use.
@@ -257,8 +250,15 @@ impl AcoReconfigurer {
         current: Option<&Configuration>,
     ) -> Result<(Configuration, Watts), ReconfigError> {
         let modules = array.len();
-        let mpp_currents = array.mpp_currents(deltas)?;
-        let (n_min, n_max) = self.inner.group_bounds(array, deltas);
+        // INOR's shared pass: MPP currents, group-count window and the
+        // solver's Norton terms from one walk over the row.
+        let mut solver = ArraySolver::new();
+        let mut pass = RowPass::default();
+        let (n_min, n_max) = self
+            .config
+            .inor
+            .load_row(&mut solver, &mut pass, array, deltas)?;
+        let mpp_currents = pass.currents;
 
         // Seed the colony memetically with both greedy heuristics' full
         // candidate sets — INOR's balanced partitions and EHTR's
@@ -282,8 +282,6 @@ impl AcoReconfigurer {
             }
         }
 
-        let mut solver = ArraySolver::new();
-        solver.load(array, deltas, None)?;
         let mut memo = GroupSumMemo::new();
         let mut powers = Vec::with_capacity(population.len());
         solver.evaluate_candidates_with_memo(&population, &mut memo, &mut powers)?;

@@ -7,7 +7,7 @@ use teg_predict::{MultipleLinearRegression, Predictor};
 use teg_units::{Joules, Seconds, TemperatureDelta, Watts};
 
 use crate::error::ReconfigError;
-use crate::inor::{Inor, InorConfig};
+use crate::inor::{InorConfig, RowPass};
 use crate::telemetry::TelemetryWindow;
 use crate::traits::{ReconfigDecision, Reconfigurer};
 
@@ -209,7 +209,6 @@ impl Default for DnorConfig {
 #[derive(Debug, Clone)]
 pub struct Dnor {
     config: DnorConfig,
-    inner: Inor,
     periods_until_evaluation: usize,
     evaluations: usize,
     switches: usize,
@@ -221,6 +220,8 @@ pub struct Dnor {
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     solver: ArraySolver,
+    // INOR's pass buffers: MPP currents and candidate group starts.
+    pass: RowPass,
     // The entrance module's series the shared MLR is fitted on.
     reference: Vec<f64>,
     // Per module, `window` tail samples followed by `horizon` forecasts.
@@ -235,7 +236,6 @@ struct Scratch {
 impl PartialEq for Dnor {
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config
-            && self.inner == other.inner
             && self.periods_until_evaluation == other.periods_until_evaluation
             && self.evaluations == other.evaluations
             && self.switches == other.switches
@@ -246,10 +246,8 @@ impl Dnor {
     /// Creates DNOR with explicit tuning parameters.
     #[must_use]
     pub fn new(config: DnorConfig) -> Self {
-        let inner = Inor::new(config.inor().clone());
         Self {
             config,
-            inner,
             periods_until_evaluation: 0,
             evaluations: 0,
             switches: 0,
@@ -354,13 +352,16 @@ impl Dnor {
     /// of its energy integral), which the switching-overhead gate needs.
     /// Both reuses are exact: the scan and [`ArraySolver::mpp_power`] run
     /// one deterministic kernel.
+    ///
+    /// The solver must hold the healthy terms of the current ΔT row, which
+    /// is what [`Inor::optimise_with`](crate::Inor::optimise_with) leaves
+    /// loaded.
     fn predicted_energies(
         &mut self,
         window: &TelemetryWindow<'_>,
         incumbent: &Configuration,
         candidate: &Configuration,
         candidate_power: Watts,
-        current_deltas: &[TemperatureDelta],
     ) -> Result<(Joules, Joules, Watts), ReconfigError> {
         let step = self.config.period;
         let array = window.array();
@@ -374,10 +375,6 @@ impl Dnor {
         // and amortised over both configurations; each configuration's
         // energy still accumulates in row order, so the sums are
         // bit-identical to integrating the two configurations separately.
-        // The first load repeats what `optimise_with` left in the solver at
-        // the call site — kept so this function never depends on what a
-        // caller loaded before it.
-        solver.load(array, current_deltas, None)?;
         let current_power = solver.mpp_power(incumbent)?;
         let mut energy_old = current_power * step;
         let mut energy_new = candidate_power * step;
@@ -433,17 +430,15 @@ impl Reconfigurer for Dnor {
 
         self.evaluations += 1;
         let current_deltas = window.current_deltas();
+        let Scratch { solver, pass, .. } = &mut self.scratch;
         let (candidate, candidate_power) =
-            self.inner
-                .optimise_with(&mut self.scratch.solver, window.array(), &current_deltas)?;
+            self.config
+                .inor
+                .optimise_in(solver, pass, window.array(), &current_deltas)?;
         self.predict_rows(window);
-        let (energy_old, energy_new, current_power) = self.predicted_energies(
-            window,
-            current,
-            &candidate,
-            candidate_power,
-            &current_deltas,
-        )?;
+        // The scan left the current row's terms loaded.
+        let (energy_old, energy_new, current_power) =
+            self.predicted_energies(window, current, &candidate, candidate_power)?;
 
         let toggles = current.switch_toggles_to(&candidate)?;
         let computation_so_far = elapsed_or_assumed(&started);
@@ -476,6 +471,7 @@ impl Reconfigurer for Dnor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inor::Inor;
     use crate::telemetry::TelemetryBuffer;
     use teg_array::TegArray;
     use teg_device::{TegDatasheet, TegModule};

@@ -18,7 +18,7 @@ use teg_array::{ArraySolver, Configuration, TegArray};
 use teg_units::{Amps, Seconds, TemperatureDelta, Watts};
 
 use crate::error::ReconfigError;
-use crate::inor::{pick_best_candidate, Inor, InorConfig};
+use crate::inor::{InorConfig, RowPass, Scratch};
 use crate::memo::DecisionMemo;
 use crate::telemetry::TelemetryWindow;
 use crate::traits::{ReconfigDecision, Reconfigurer};
@@ -51,9 +51,11 @@ pub struct Ehtr {
     // Last (ΔT row → partition) pair: a 0.5 s period over 1 s steps asks the
     // same question twice per step, and the DP is ~95 % of a decide.
     memo: Option<DecisionMemo>,
+    scratch: Scratch,
 }
 
-/// The memo caches derived state only, so it stays out of scheme identity.
+/// The memo and the scratch cache derived state only, so they stay out of
+/// scheme identity.
 impl PartialEq for Ehtr {
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config
@@ -65,7 +67,11 @@ impl Ehtr {
     /// efficiency floor, period) so comparisons are apples-to-apples.
     #[must_use]
     pub fn new(config: InorConfig) -> Self {
-        Self { config, memo: None }
+        Self {
+            config,
+            memo: None,
+            scratch: Scratch::default(),
+        }
     }
 
     /// The tuning parameters in use.
@@ -198,17 +204,43 @@ impl Ehtr {
         array: &TegArray,
         deltas: &[TemperatureDelta],
     ) -> Result<(Configuration, Watts), ReconfigError> {
-        let mpp_currents = array.mpp_currents(deltas)?;
-        let inor_view = Inor::new(self.config.clone());
-        let (n_min, n_max) = inor_view.group_bounds(array, deltas);
-        // One flat scratch shared by every group count: the DP is ~95 % of
-        // an EHTR decide.
-        let mut scratch = PartitionScratch::default();
-        let candidates: Vec<Configuration> = (n_min..=n_max)
-            .map(|n| Self::optimal_partition_with(&mpp_currents, n, &mut scratch))
-            .collect();
-        pick_best_candidate(solver, array, deltas, candidates)
+        optimise_in(&self.config, solver, &mut RowPass::default(), array, deltas)
     }
+}
+
+/// [`Ehtr::optimise_with`] on recycled pass buffers: INOR's shared pass
+/// loads the row's Norton terms, MPP currents and group-count window, the
+/// DP partitions every group count, and the candidates are priced against
+/// the terms the pass left loaded.
+fn optimise_in(
+    config: &InorConfig,
+    solver: &mut ArraySolver,
+    pass: &mut RowPass,
+    array: &TegArray,
+    deltas: &[TemperatureDelta],
+) -> Result<(Configuration, Watts), ReconfigError> {
+    let (n_min, n_max) = config.load_row(solver, pass, array, deltas)?;
+    // One flat scratch shared by every group count: the DP is ~95 % of
+    // an EHTR decide.
+    let mut scratch = PartitionScratch::default();
+    let candidates: Vec<Configuration> = (n_min..=n_max)
+        .map(|n| Ehtr::optimal_partition_with(&pass.currents, n, &mut scratch))
+        .collect();
+    let mut powers = Vec::with_capacity(candidates.len());
+    solver.evaluate_candidates(&candidates, &mut powers)?;
+    // The earliest maximum, the tie-break INOR applies too.
+    let mut best = 0;
+    for (i, power) in powers.iter().enumerate() {
+        if *power > powers[best] {
+            best = i;
+        }
+    }
+    let power = powers[best];
+    let configuration = candidates
+        .into_iter()
+        .nth(best)
+        .expect("window always contains at least one group count");
+    Ok((configuration, power))
 }
 
 /// Reusable flat DP tables for [`Ehtr::optimal_partition_with`]:
@@ -241,7 +273,9 @@ impl Reconfigurer for Ehtr {
         let configuration = match self.memo.as_ref().and_then(|m| m.lookup(&deltas)) {
             Some(cached) => cached.clone(),
             None => {
-                let (configuration, _) = self.optimise(window.array(), &deltas)?;
+                let Scratch { solver, pass } = &mut self.scratch;
+                let (configuration, _) =
+                    optimise_in(&self.config, solver, pass, window.array(), &deltas)?;
                 self.memo = Some(DecisionMemo::new(deltas, configuration.clone()));
                 configuration
             }
@@ -259,6 +293,7 @@ impl Reconfigurer for Ehtr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inor::Inor;
     use teg_array::ideal_power;
     use teg_device::{TegDatasheet, TegModule};
     use teg_units::Celsius;
@@ -348,6 +383,32 @@ mod tests {
             d_ehtr.computation(),
             d_inor.computation()
         );
+    }
+
+    #[test]
+    fn scratch_stays_out_of_scheme_identity() {
+        let a = array(24);
+        let temps: Vec<f64> = (0..24).map(|i| 95.0 - 1.4 * i as f64).collect();
+        let history = vec![temps];
+        let inputs = TelemetryWindow::new(&a, &history, Celsius::new(25.0)).unwrap();
+        let current = Configuration::uniform(24, 4).unwrap();
+        let mut used = Ehtr::default();
+        let first = used.decide(&inputs, &current).unwrap();
+        assert_eq!(used, Ehtr::default());
+        used.reset();
+        // A warm scratch decides exactly like a cold one.
+        let again = used.decide(&inputs, &current).unwrap();
+        assert_eq!(again.configuration(), first.configuration());
+        assert_eq!(
+            again.configuration(),
+            Some(
+                &Ehtr::default()
+                    .optimise(&a, &inputs.current_deltas())
+                    .unwrap()
+                    .0
+            )
+        );
+        assert_eq!(used, Ehtr::default());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::time::Instant;
 
-use teg_array::{ArraySolver, Configuration, TegArray};
+use teg_array::{ArraySolver, Configuration, PartitionPricer, TegArray};
 use teg_power::Charger;
 use teg_units::{Amps, Seconds, TemperatureDelta, Watts};
 
@@ -95,6 +95,11 @@ impl Default for InorConfig {
 /// to the ideal share `Σ I_MPP / n`; the candidate with the highest array MPP
 /// power wins.
 ///
+/// One call makes one per-module pass over the ΔT row, which loads the
+/// solver's Norton terms, the MPP currents and the group-count window
+/// together.  Each candidate is then priced in the same walk that builds
+/// it, and only the winner becomes a [`Configuration`].
+///
 /// # Examples
 ///
 /// ```
@@ -121,20 +126,118 @@ pub struct Inor {
     // Last (ΔT row → partition) pair: a 0.5 s period over 1 s steps asks the
     // same question twice per step.
     memo: Option<DecisionMemo>,
+    scratch: Scratch,
 }
 
-/// The memo caches derived state only, so it stays out of scheme identity.
+/// Buffers a reconfigurer recycles across decisions: the solver holding the
+/// row's Norton terms and the pass buffers.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Scratch {
+    pub(crate) solver: ArraySolver,
+    pub(crate) pass: RowPass,
+}
+
+/// The memo and the scratch cache derived state only, so they stay out of
+/// scheme identity.
 impl PartialEq for Inor {
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config
     }
 }
 
+/// Buffers of the per-module pass INOR, EHTR and ACO share: the MPP
+/// currents of the loaded row, plus the group starts of the candidate
+/// being built and of the best candidate so far.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RowPass {
+    pub(crate) currents: Vec<Amps>,
+    starts: Vec<usize>,
+    best_starts: Vec<usize>,
+}
+
+/// Receives the modules the greedy walk assigns, in module order.
+trait GroupSink {
+    fn take(&mut self);
+    fn close_group(&mut self);
+}
+
+/// Builds group starts only.
+impl GroupSink for () {
+    fn take(&mut self) {}
+    fn close_group(&mut self) {}
+}
+
+/// Accumulates each group's Norton sums while the walk builds it.
+impl GroupSink for PartitionPricer<'_> {
+    #[inline]
+    fn take(&mut self) {
+        self.take_next();
+    }
+
+    #[inline]
+    fn close_group(&mut self) {
+        PartitionPricer::close_group(self);
+    }
+}
+
+/// The greedy inner loop of Algorithm 1: splits the chain into `n` groups
+/// whose summed MPP currents are balanced around `total / n`, writing the
+/// group starts into `starts` and handing every module to `sink` in module
+/// order, group by group.
+fn greedy_walk(
+    mpp_currents: &[Amps],
+    total: f64,
+    n: usize,
+    starts: &mut Vec<usize>,
+    sink: &mut impl GroupSink,
+) {
+    let modules = mpp_currents.len();
+    assert!(
+        n >= 1 && n <= modules,
+        "group count {n} out of range for {modules} modules"
+    );
+    let ideal = total / n as f64;
+    starts.clear();
+    starts.push(0usize);
+    let mut index = 0usize;
+    for group in 0..n - 1 {
+        let remaining_groups = n - 1 - group;
+        // Leave at least one module for each remaining group.
+        let max_take = modules - index - remaining_groups;
+        let mut sum = 0.0;
+        let mut taken = 0usize;
+        while taken < max_take {
+            let candidate = sum + mpp_currents[index + taken].value();
+            // Take at least one module, then keep taking while it brings
+            // the group sum closer to the ideal share.
+            if taken == 0 || (candidate - ideal).abs() <= (sum - ideal).abs() {
+                sum = candidate;
+                taken += 1;
+                sink.take();
+            } else {
+                break;
+            }
+        }
+        index += taken;
+        sink.close_group();
+        starts.push(index);
+    }
+    // The last group takes the rest of the chain.
+    for _ in index..modules {
+        sink.take();
+    }
+    sink.close_group();
+}
+
 impl Inor {
     /// Creates INOR with explicit tuning parameters.
     #[must_use]
     pub fn new(config: InorConfig) -> Self {
-        Self { config, memo: None }
+        Self {
+            config,
+            memo: None,
+            scratch: Scratch::default(),
+        }
     }
 
     /// The tuning parameters in use.
@@ -148,29 +251,13 @@ impl Inor {
     /// voltages.
     #[must_use]
     pub fn group_bounds(&self, array: &TegArray, deltas: &[TemperatureDelta]) -> (usize, usize) {
-        let n = array.len();
-        let mean_vmpp = array
+        let vmpp_sum = array
             .modules()
             .iter()
             .zip(deltas.iter())
             .map(|(m, &dt)| m.mpp(dt).voltage().value())
-            .sum::<f64>()
-            / n as f64;
-        if mean_vmpp <= 1e-9 {
-            // No usable temperature difference anywhere: any wiring is as
-            // good as any other.
-            return (1, 1);
-        }
-        let Some((lo, hi)) = self
-            .config
-            .charger
-            .voltage_window(self.config.min_converter_efficiency)
-        else {
-            return (1, n);
-        };
-        let n_min = ((lo.value() / mean_vmpp).ceil() as usize).clamp(1, n);
-        let n_max = ((hi.value() / mean_vmpp).floor() as usize).clamp(n_min, n);
-        (n_min, n_max)
+            .sum::<f64>();
+        self.config.bounds_from_vmpp_sum(vmpp_sum, array.len())
     }
 
     /// Greedily partitions the chain into `n` groups whose summed MPP
@@ -183,38 +270,10 @@ impl Inor {
     /// `n` from [`Inor::group_bounds`], which respects both limits.
     #[must_use]
     pub fn balanced_partition(mpp_currents: &[Amps], n: usize) -> Configuration {
-        let modules = mpp_currents.len();
-        assert!(
-            n >= 1 && n <= modules,
-            "group count {n} out of range for {modules} modules"
-        );
         let total: f64 = mpp_currents.iter().map(|i| i.value()).sum();
-        let ideal = total / n as f64;
-
         let mut starts = Vec::with_capacity(n);
-        starts.push(0usize);
-        let mut index = 0usize;
-        for group in 0..n - 1 {
-            let remaining_groups = n - 1 - group;
-            // Leave at least one module for each remaining group.
-            let max_take = modules - index - remaining_groups;
-            let mut sum = 0.0;
-            let mut taken = 0usize;
-            while taken < max_take {
-                let candidate = sum + mpp_currents[index + taken].value();
-                // Take at least one module, then keep taking while it brings
-                // the group sum closer to the ideal share.
-                if taken == 0 || (candidate - ideal).abs() <= (sum - ideal).abs() {
-                    sum = candidate;
-                    taken += 1;
-                } else {
-                    break;
-                }
-            }
-            index += taken.max(1);
-            starts.push(index);
-        }
-        Configuration::new(starts, modules).expect("greedy partition is always valid")
+        greedy_walk(mpp_currents, total, n, &mut starts, &mut ());
+        Configuration::new(starts, mpp_currents.len()).expect("greedy partition is always valid")
     }
 
     /// Runs Algorithm 1 on the given ΔT vector, returning the best
@@ -234,7 +293,9 @@ impl Inor {
 
     /// [`Inor::optimise`] evaluating its candidates through a caller-owned
     /// solver, so a looping controller reuses the scratch buffers across
-    /// invocations instead of reallocating them.
+    /// invocations instead of reallocating them.  On return the solver
+    /// holds the healthy Norton terms of `deltas`, exactly as
+    /// [`ArraySolver::load`] leaves them.
     ///
     /// # Errors
     ///
@@ -246,40 +307,77 @@ impl Inor {
         array: &TegArray,
         deltas: &[TemperatureDelta],
     ) -> Result<(Configuration, Watts), ReconfigError> {
-        let mpp_currents = array.mpp_currents(deltas)?;
-        let (n_min, n_max) = self.group_bounds(array, deltas);
-        let candidates: Vec<Configuration> = (n_min..=n_max)
-            .map(|n| Self::balanced_partition(&mpp_currents, n))
-            .collect();
-        pick_best_candidate(solver, array, deltas, candidates)
+        self.config
+            .optimise_in(solver, &mut RowPass::default(), array, deltas)
     }
 }
 
-/// The shared candidate scan of INOR and EHTR: load the per-module EMF and
-/// conductance terms once, evaluate every candidate through the batch
-/// kernel, and keep the earliest maximum (the same tie-break the original
-/// per-candidate loop used).
-pub(crate) fn pick_best_candidate(
-    solver: &mut ArraySolver,
-    array: &TegArray,
-    deltas: &[TemperatureDelta],
-    candidates: Vec<Configuration>,
-) -> Result<(Configuration, Watts), ReconfigError> {
-    solver.load(array, deltas, None)?;
-    let mut powers = Vec::with_capacity(candidates.len());
-    solver.evaluate_candidates(&candidates, &mut powers)?;
-    let mut best = 0;
-    for (i, power) in powers.iter().enumerate() {
-        if *power > powers[best] {
-            best = i;
+// The shared pass and the fused scan need only the tuning, so they live on
+// the configuration: a scheme can run them while it lends out its scratch.
+impl InorConfig {
+    /// [`Inor::group_bounds`] from the summed module MPP voltages.
+    pub(crate) fn bounds_from_vmpp_sum(&self, vmpp_sum: f64, n: usize) -> (usize, usize) {
+        let mean_vmpp = vmpp_sum / n as f64;
+        if mean_vmpp <= 1e-9 {
+            // No usable temperature difference anywhere: any wiring is as
+            // good as any other.
+            return (1, 1);
         }
+        let Some((lo, hi)) = self.charger.voltage_window(self.min_converter_efficiency) else {
+            return (1, n);
+        };
+        let n_min = ((lo.value() / mean_vmpp).ceil() as usize).clamp(1, n);
+        let n_max = ((hi.value() / mean_vmpp).floor() as usize).clamp(n_min, n);
+        (n_min, n_max)
     }
-    let power = powers[best];
-    let configuration = candidates
-        .into_iter()
-        .nth(best)
-        .expect("window always contains at least one group count");
-    Ok((configuration, power))
+
+    /// The per-module pass INOR, EHTR and ACO share: loads the row's Norton
+    /// terms into `solver` and its MPP currents into `pass.currents`, and
+    /// returns the group-count window of [`Inor::group_bounds`].
+    pub(crate) fn load_row(
+        &self,
+        solver: &mut ArraySolver,
+        pass: &mut RowPass,
+        array: &TegArray,
+        deltas: &[TemperatureDelta],
+    ) -> Result<(usize, usize), ReconfigError> {
+        let vmpp_sum = solver.load_mpp(array, deltas, &mut pass.currents)?;
+        Ok(self.bounds_from_vmpp_sum(vmpp_sum, array.len()))
+    }
+
+    /// [`Inor::optimise_with`] on recycled pass buffers: one pass over the
+    /// row, then one walk per feasible group count that builds and prices
+    /// its candidate together.  Ties go to the earliest maximum, as in a
+    /// scan of the finished candidates.
+    pub(crate) fn optimise_in(
+        &self,
+        solver: &mut ArraySolver,
+        pass: &mut RowPass,
+        array: &TegArray,
+        deltas: &[TemperatureDelta],
+    ) -> Result<(Configuration, Watts), ReconfigError> {
+        let (n_min, n_max) = self.load_row(solver, pass, array, deltas)?;
+        let RowPass {
+            currents,
+            starts,
+            best_starts,
+        } = pass;
+        let total: f64 = currents.iter().map(|i| i.value()).sum();
+        let mut best_power = None;
+        for n in n_min..=n_max {
+            let mut pricer = solver.price_partition()?;
+            greedy_walk(currents, total, n, starts, &mut pricer);
+            let power = pricer.finish();
+            if best_power.is_none_or(|best| power > best) {
+                best_power = Some(power);
+                std::mem::swap(starts, best_starts);
+            }
+        }
+        let power = best_power.expect("window always contains at least one group count");
+        let configuration = Configuration::new(best_starts.clone(), array.len())
+            .expect("greedy partition is always valid");
+        Ok((configuration, power))
+    }
 }
 
 impl Reconfigurer for Inor {
@@ -301,7 +399,10 @@ impl Reconfigurer for Inor {
         let configuration = match self.memo.as_ref().and_then(|m| m.lookup(&deltas)) {
             Some(cached) => cached.clone(),
             None => {
-                let (configuration, _) = self.optimise(window.array(), &deltas)?;
+                let Scratch { solver, pass } = &mut self.scratch;
+                let (configuration, _) =
+                    self.config
+                        .optimise_in(solver, pass, window.array(), &deltas)?;
                 self.memo = Some(DecisionMemo::new(deltas, configuration.clone()));
                 configuration
             }
@@ -507,5 +608,247 @@ mod tests {
                 prop_assert!(power.value() >= 0.98 * uniform_power.value());
             }
         }
+    }
+
+    /// The greedy exactly as it stood before the walk was shared with the
+    /// fused scan, kept as the reference `balanced_partition` must match.
+    fn legacy_balanced_partition(mpp_currents: &[Amps], n: usize) -> Configuration {
+        let modules = mpp_currents.len();
+        let total: f64 = mpp_currents.iter().map(|i| i.value()).sum();
+        let ideal = total / n as f64;
+        let mut starts = vec![0usize];
+        let mut index = 0usize;
+        for group in 0..n - 1 {
+            let max_take = modules - index - (n - 1 - group);
+            let mut sum = 0.0;
+            let mut taken = 0usize;
+            while taken < max_take {
+                let candidate = sum + mpp_currents[index + taken].value();
+                if taken == 0 || (candidate - ideal).abs() <= (sum - ideal).abs() {
+                    sum = candidate;
+                    taken += 1;
+                } else {
+                    break;
+                }
+            }
+            index += taken.max(1);
+            starts.push(index);
+        }
+        Configuration::new(starts, modules).unwrap()
+    }
+
+    /// The candidate scan the fused walk replaces: every balanced partition
+    /// in the window built first, then priced through `evaluate_candidates`
+    /// on freshly loaded terms, keeping the earliest maximum.
+    fn reference_scan(
+        inor: &Inor,
+        array: &TegArray,
+        deltas: &[TemperatureDelta],
+    ) -> (Configuration, Watts) {
+        let currents = array.mpp_currents(deltas).unwrap();
+        let (n_min, n_max) = inor.group_bounds(array, deltas);
+        let candidates: Vec<_> = (n_min..=n_max)
+            .map(|n| Inor::balanced_partition(&currents, n))
+            .collect();
+        let mut solver = ArraySolver::new();
+        solver.load(array, deltas, None).unwrap();
+        let mut powers = Vec::new();
+        solver
+            .evaluate_candidates(&candidates, &mut powers)
+            .unwrap();
+        let mut best = 0;
+        for (i, power) in powers.iter().enumerate() {
+            if *power > powers[best] {
+                best = i;
+            }
+        }
+        (candidates[best].clone(), powers[best])
+    }
+
+    /// A non-uniform array: plain and drifting-material modules alternate,
+    /// each scaled by its own factors.
+    fn mixed_array(n: usize, spread: f64) -> TegArray {
+        let datasheet = TegDatasheet::tgm_199_1_4_0_8();
+        let plain = TegModule::from_datasheet(&datasheet);
+        let drifting = TegModule::with_material(
+            &datasheet,
+            teg_device::ThermoelectricMaterial::bismuth_telluride_with_drift(),
+        );
+        let modules = (0..n)
+            .map(|i| {
+                let base = if i % 3 == 1 { &drifting } else { &plain };
+                let k = i as f64 / n as f64 - 0.5;
+                base.scaled(1.0 + spread * k, 1.0 + spread * k * k).unwrap()
+            })
+            .collect();
+        TegArray::new(modules).unwrap()
+    }
+
+    /// ΔT rows by shape: 0 a decaying gradient, 1 all zero (window
+    /// `(1, 1)`), 2 all equal (tied candidates), 3 a tiny difference (the
+    /// window collapses to one group per module), 4 a gradient crossing
+    /// into negative differences.
+    fn shaped_deltas(shape: usize, n: usize, hot: f64, decay: f64) -> Vec<TemperatureDelta> {
+        (0..n)
+            .map(|i| {
+                let x = i as f64 / n as f64;
+                TemperatureDelta::new(match shape {
+                    0 => hot * (-x * decay).exp(),
+                    1 => 0.0,
+                    2 => hot,
+                    3 => 1e-3 * (1.0 + x),
+                    _ => hot * (0.5 - x),
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn window_edge_rows_hit_the_window_edges() {
+        let inor = Inor::default();
+        let a = array(12);
+        assert_eq!(
+            inor.group_bounds(&a, &shaped_deltas(1, 12, 60.0, 1.0)),
+            (1, 1)
+        );
+        assert_eq!(
+            inor.group_bounds(&a, &shaped_deltas(3, 12, 60.0, 1.0)),
+            (12, 12)
+        );
+    }
+
+    proptest! {
+        /// The walk behind `balanced_partition` is the pre-fusion greedy.
+        #[test]
+        fn prop_balanced_partition_matches_the_legacy_greedy(
+            currents in collection::vec(0.0_f64..3.0, 1..60),
+            groups in 1usize..60,
+            equal in 0usize..4,
+        ) {
+            let n = groups.min(currents.len());
+            // One case in four has all-equal currents.
+            let currents: Vec<Amps> = currents
+                .iter()
+                .map(|&c| Amps::new(if equal == 0 { 1.25 } else { c }))
+                .collect();
+            prop_assert_eq!(
+                Inor::balanced_partition(&currents, n),
+                legacy_balanced_partition(&currents, n)
+            );
+        }
+
+        /// The fused pass-and-walk scan picks the configuration and power
+        /// of the reference scan bit for bit, on non-uniform arrays and on
+        /// rows at the window's edges, and a recycled pass gives the same
+        /// answer as a fresh one.
+        #[test]
+        fn prop_fused_scan_matches_the_reference_scan(
+            n in 1usize..80,
+            shape in 0usize..5,
+            hot in 5.0_f64..110.0,
+            decay in 0.0_f64..2.5,
+            spread in 0.0_f64..0.4,
+            other in 1usize..80,
+        ) {
+            // Identical modules at one ΔT make tied candidates likely.
+            let a = if shape == 2 { array(n) } else { mixed_array(n, spread) };
+            let deltas = shaped_deltas(shape, n, hot, decay);
+            let inor = Inor::default();
+            let (want_config, want_power) = reference_scan(&inor, &a, &deltas);
+
+            let (config, power) = inor.optimise(&a, &deltas).unwrap();
+            prop_assert_eq!(&config, &want_config);
+            prop_assert_eq!(power.value().to_bits(), want_power.value().to_bits());
+
+            // Warm the scratch on another array size first.
+            let mut scratch = Scratch::default();
+            let b = mixed_array(other, spread);
+            inor.config
+                .optimise_in(&mut scratch.solver, &mut scratch.pass, &b, &shaped_deltas(0, other, hot, decay))
+                .unwrap();
+            let (config, power) = inor
+                .config
+                .optimise_in(&mut scratch.solver, &mut scratch.pass, &a, &deltas)
+                .unwrap();
+            prop_assert_eq!(&config, &want_config);
+            prop_assert_eq!(power.value().to_bits(), want_power.value().to_bits());
+        }
+    }
+
+    #[test]
+    fn ties_go_to_the_earliest_maximum() {
+        // Twelve identical modules at one ΔT: three balanced partitions in
+        // the window price to the same bits.
+        let a = array(12);
+        let deltas = vec![TemperatureDelta::new(80.0); 12];
+        let inor = Inor::default();
+        let currents = a.mpp_currents(&deltas).unwrap();
+        let (n_min, n_max) = inor.group_bounds(&a, &deltas);
+        let mut solver = ArraySolver::new();
+        solver.load(&a, &deltas, None).unwrap();
+        let mut powers = Vec::new();
+        let candidates: Vec<_> = (n_min..=n_max)
+            .map(|n| Inor::balanced_partition(&currents, n))
+            .collect();
+        solver
+            .evaluate_candidates(&candidates, &mut powers)
+            .unwrap();
+        let max = powers.iter().copied().fold(Watts::ZERO, Watts::max);
+        let tied: Vec<_> = (0..powers.len()).filter(|&i| powers[i] == max).collect();
+        assert!(tied.len() > 1, "expected tied maxima, got {powers:?}");
+        let (best, power) = inor.optimise(&a, &deltas).unwrap();
+        assert_eq!(best, candidates[tied[0]]);
+        assert_eq!(power, max);
+    }
+
+    /// `Dnor` prices its incumbent against what `optimise_with` leaves in
+    /// the solver instead of reloading the row; this pins that the solver
+    /// then holds exactly a fresh `load` of the row, whatever it held before.
+    #[test]
+    fn optimise_with_leaves_the_row_loaded() {
+        let inor = Inor::default();
+        for (n, shape) in [(1, 0), (7, 1), (40, 0), (40, 2), (25, 3), (60, 4)] {
+            let a = mixed_array(n, 0.3);
+            let deltas = shaped_deltas(shape, n, 80.0, 1.2);
+            // Stale, faulted terms of another row.
+            let mut solver = ArraySolver::new();
+            let stale = shaped_deltas(0, n, 30.0, 0.1);
+            let mut faults = teg_array::FaultState::healthy(n);
+            faults
+                .set_module_fault(0, teg_array::ModuleFault::ShortCircuit)
+                .unwrap();
+            solver.load(&a, &stale, Some(&faults)).unwrap();
+
+            let (best, _) = inor.optimise_with(&mut solver, &a, &deltas).unwrap();
+            let mut fresh = ArraySolver::new();
+            fresh.load(&a, &deltas, None).unwrap();
+            for config in [
+                best,
+                Configuration::uniform(n, 1).unwrap(),
+                Configuration::uniform(n, n).unwrap(),
+            ] {
+                assert_eq!(
+                    solver.mpp_power(&config).unwrap().value().to_bits(),
+                    fresh.mpp_power(&config).unwrap().value().to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_stays_out_of_scheme_identity() {
+        let a = array(30);
+        let temps: Vec<f64> = (0..30).map(|i| 95.0 - 1.1 * i as f64).collect();
+        let history = vec![temps];
+        let inputs = TelemetryWindow::new(&a, &history, Celsius::new(25.0)).unwrap();
+        let current = Configuration::uniform(30, 3).unwrap();
+        let mut used = Inor::default();
+        let first = used.decide(&inputs, &current).unwrap();
+        assert_eq!(used, Inor::default());
+        used.reset();
+        // A warm scratch decides exactly like a cold one.
+        let again = used.decide(&inputs, &current).unwrap();
+        assert_eq!(again.configuration(), first.configuration());
+        assert_eq!(used, Inor::default());
     }
 }

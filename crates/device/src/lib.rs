@@ -55,6 +55,6 @@ pub use curves::{curve_family, CurvePoint, IvCurve};
 pub use datasheet::TegDatasheet;
 pub use error::DeviceError;
 pub use material::ThermoelectricMaterial;
-pub use module::TegModule;
+pub use module::{internal_resistance_ohms, open_circuit_emf, ModuleCoefficients, TegModule};
 pub use mpp::MppPoint;
 pub use variation::VariationModel;

@@ -94,15 +94,43 @@ impl ThermoelectricMaterial {
     /// Per-couple Seebeck coefficient in V/K at the given ΔT (in kelvin).
     #[must_use]
     pub fn seebeck_per_couple(&self, delta_t_kelvin: f64) -> f64 {
-        self.seebeck_v_per_k * (1.0 + self.seebeck_temp_coeff * delta_t_kelvin.max(0.0))
+        seebeck_at(
+            self.seebeck_v_per_k,
+            self.seebeck_temp_coeff,
+            delta_t_kelvin,
+        )
     }
 
     /// Relative resistance multiplier at the given ΔT, normalised to 1 at
     /// ΔT = 0.
     #[must_use]
     pub fn resistance_factor(&self, delta_t: TemperatureDelta) -> f64 {
-        1.0 + self.resistance_temp_coeff * delta_t.clamp_non_negative().kelvin()
+        resistance_factor_at(self.resistance_temp_coeff, delta_t.kelvin())
     }
+
+    /// The Seebeck coefficient at ΔT = 0 and the relative Seebeck and
+    /// resistance drifts per kelvin, in that order.
+    pub(crate) const fn coefficients(&self) -> (f64, f64, f64) {
+        (
+            self.seebeck_v_per_k,
+            self.seebeck_temp_coeff,
+            self.resistance_temp_coeff,
+        )
+    }
+}
+
+/// `α(ΔT) = α₀·(1 + drift·max(ΔT, 0))`, the formula behind
+/// [`ThermoelectricMaterial::seebeck_per_couple`].
+#[inline]
+pub(crate) fn seebeck_at(seebeck_v_per_k: f64, drift: f64, delta_t_kelvin: f64) -> f64 {
+    seebeck_v_per_k * (1.0 + drift * delta_t_kelvin.max(0.0))
+}
+
+/// `1 + drift·max(ΔT, 0)`, the formula behind
+/// [`ThermoelectricMaterial::resistance_factor`].
+#[inline]
+pub(crate) fn resistance_factor_at(drift: f64, delta_t_kelvin: f64) -> f64 {
+    1.0 + drift * delta_t_kelvin.max(0.0)
 }
 
 impl Default for ThermoelectricMaterial {

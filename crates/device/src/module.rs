@@ -4,8 +4,65 @@ use teg_units::{Amps, Ohms, TemperatureDelta, Volts, Watts};
 
 use crate::datasheet::TegDatasheet;
 use crate::error::DeviceError;
-use crate::material::ThermoelectricMaterial;
+use crate::material::{resistance_factor_at, seebeck_at, ThermoelectricMaterial};
 use crate::mpp::MppPoint;
+
+/// The seven per-module scalars Eq. 2 reads, as one plain record.
+///
+/// An array copies them into one column per field, so a whole ΔT row runs
+/// through [`open_circuit_emf`] and [`internal_resistance_ohms`] in a
+/// single loop; [`TegModule`] calls the same two functions one module at a
+/// time, so both layouts give the same bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ModuleCoefficients {
+    /// Per-couple Seebeck coefficient at ΔT = 0, in V/K.
+    pub seebeck: f64,
+    /// Relative Seebeck drift per kelvin of ΔT.
+    pub seebeck_drift: f64,
+    /// Manufacturing scale on the Seebeck coefficient.
+    pub seebeck_scale: f64,
+    /// Number of couples, as a float.
+    pub couples: f64,
+    /// Internal resistance at ΔT = 0 before scaling, in ohms.
+    pub base_resistance: f64,
+    /// Relative resistance drift per kelvin of ΔT.
+    pub resistance_drift: f64,
+    /// Manufacturing scale on the internal resistance.
+    pub resistance_scale: f64,
+}
+
+/// Open-circuit EMF `E = α(ΔT)·ΔT·N_cpl` in volts, with ΔT clamped at zero.
+///
+/// This is the one formula behind [`TegModule::open_circuit_voltage`] and
+/// the array's per-row Norton-term kernel.
+#[inline]
+#[must_use]
+pub fn open_circuit_emf(
+    seebeck: f64,
+    seebeck_drift: f64,
+    seebeck_scale: f64,
+    couples: f64,
+    delta_t_kelvin: f64,
+) -> f64 {
+    let dt = delta_t_kelvin.max(0.0);
+    let alpha = seebeck_at(seebeck, seebeck_drift, dt) * seebeck_scale;
+    alpha * dt * couples
+}
+
+/// Internal resistance `R_teg(ΔT)` in ohms.
+///
+/// This is the one formula behind [`TegModule::internal_resistance`] and
+/// the array's per-row Norton-term kernel.
+#[inline]
+#[must_use]
+pub fn internal_resistance_ohms(
+    base_resistance: f64,
+    resistance_drift: f64,
+    resistance_scale: f64,
+    delta_t_kelvin: f64,
+) -> f64 {
+    base_resistance * (resistance_factor_at(resistance_drift, delta_t_kelvin) * resistance_scale)
+}
 
 /// A single thermoelectric generator module.
 ///
@@ -104,21 +161,47 @@ impl TegModule {
         self.couple_count
     }
 
+    /// The scalars Eq. 2 reads from this module.
+    #[must_use]
+    pub const fn coefficients(&self) -> ModuleCoefficients {
+        let (seebeck, seebeck_drift, resistance_drift) = self.material.coefficients();
+        ModuleCoefficients {
+            seebeck,
+            seebeck_drift,
+            seebeck_scale: self.seebeck_scale,
+            couples: self.couple_count as f64,
+            base_resistance: self.base_resistance.value(),
+            resistance_drift,
+            resistance_scale: self.resistance_scale,
+        }
+    }
+
     /// Open-circuit (Seebeck) voltage `E = α·ΔT·N_cpl` at the given ΔT.
     ///
     /// Negative ΔT is clamped to zero: the harvesting model never operates a
     /// module in cooling mode.
     #[must_use]
     pub fn open_circuit_voltage(&self, delta_t: TemperatureDelta) -> Volts {
-        let dt = delta_t.clamp_non_negative().kelvin();
-        let alpha = self.material.seebeck_per_couple(dt) * self.seebeck_scale;
-        Volts::new(alpha * dt * f64::from(self.couple_count))
+        let c = self.coefficients();
+        Volts::new(open_circuit_emf(
+            c.seebeck,
+            c.seebeck_drift,
+            c.seebeck_scale,
+            c.couples,
+            delta_t.kelvin(),
+        ))
     }
 
     /// Internal resistance `R_teg` at the given ΔT.
     #[must_use]
     pub fn internal_resistance(&self, delta_t: TemperatureDelta) -> Ohms {
-        self.base_resistance * (self.material.resistance_factor(delta_t) * self.resistance_scale)
+        let c = self.coefficients();
+        Ohms::new(internal_resistance_ohms(
+            c.base_resistance,
+            c.resistance_drift,
+            c.resistance_scale,
+            delta_t.kelvin(),
+        ))
     }
 
     /// Internal conductance `1 / R_teg` at the given ΔT, used by the array
