@@ -30,27 +30,93 @@
 //! does not match the resubmitted request's grid spec and policy is a
 //! [`CheckpointLoad::Mismatch`] — the server rejects rather than mixing
 //! incompatible results.  v1 journals (no length field) mismatch on the
-//! format line and are likewise refused rather than half-recovered.
+//! format line and are likewise refused rather than half-recovered.  Lines
+//! end in `\n` only, and the index and length fields must be canonical
+//! unsigned decimal, the form the writer produces.
+//!
+//! # Cost
+//!
+//! An append is linear in the payload, copies it once and allocates
+//! nothing: a word-at-a-time scan counts the bytes that need escaping, the
+//! `cell <index> <length> ` prefix is written, then the runs between `\n`
+//! and `\\` bytes are copied straight into the journal's buffer, which is
+//! sized so a typical cell reaches the file in one write at the single
+//! flush.  [`unescape_payload`] copies runs the same way on resume.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read as _, Write as _};
+use std::io::{self, BufWriter, Read as _, Write};
 use std::path::{Path, PathBuf};
+
+use crate::codec::parse_usize;
 
 /// Magic first line of every journal.
 pub const CHECKPOINT_MAGIC: &str = "teg-sweep-checkpoint v2";
 
+/// Buffer size of an open journal: room for a typical escaped cell line, so
+/// an append reaches the file in one write.
+const JOURNAL_BUFFER: usize = 64 * 1024;
+
+/// The index of the first `\n` or `\\` in `bytes` at or after `from`.
+/// Scans a word at a time: a lane of `word ^ broadcast(byte)` is zero
+/// exactly where `word` holds `byte`, and the lowest flagged lane of the
+/// zero-byte test is always a true hit.
+fn next_escape(bytes: &[u8], mut from: usize) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let lanes_equal = |word: u64, byte: u8| {
+        let x = word ^ (ONES * u64::from(byte));
+        x.wrapping_sub(ONES) & !x & HIGH
+    };
+    while let Some(chunk) = bytes.get(from..).and_then(<[u8]>::first_chunk::<8>) {
+        let word = u64::from_le_bytes(*chunk);
+        let hits = lanes_equal(word, b'\n') | lanes_equal(word, b'\\');
+        if hits != 0 {
+            return Some(from + (hits.trailing_zeros() / 8) as usize);
+        }
+        from += 8;
+    }
+    let tail = bytes.get(from..)?;
+    let at = tail
+        .iter()
+        .position(|&byte| byte == b'\n' || byte == b'\\')?;
+    Some(from + at)
+}
+
+/// Calls `emit` with `payload` escaped, in pieces: the runs between the
+/// bytes that need escaping, and each such byte's escape sequence.
+fn escape_runs<E>(payload: &str, mut emit: impl FnMut(&str) -> Result<(), E>) -> Result<(), E> {
+    let bytes = payload.as_bytes();
+    let mut start = 0;
+    while let Some(at) = next_escape(bytes, start) {
+        emit(&payload[start..at])?;
+        emit(if bytes[at] == b'\n' { "\\n" } else { "\\\\" })?;
+        start = at + 1;
+    }
+    emit(&payload[start..])
+}
+
+/// The length of `payload` once escaped.
+fn escaped_len(payload: &str) -> usize {
+    let bytes = payload.as_bytes();
+    let mut len = bytes.len();
+    let mut from = 0;
+    while let Some(at) = next_escape(bytes, from) {
+        len += 1;
+        from = at + 1;
+    }
+    len
+}
+
 /// Folds a CELL payload onto one journal line.
 #[must_use]
 pub fn escape_payload(payload: &str) -> String {
-    let mut out = String::with_capacity(payload.len());
-    for c in payload.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            other => out.push(other),
-        }
-    }
+    let mut out = String::with_capacity(escaped_len(payload));
+    let Ok(()) = escape_runs(payload, |piece| {
+        out.push_str(piece);
+        Ok::<(), Infallible>(())
+    });
     out
 }
 
@@ -58,19 +124,26 @@ pub fn escape_payload(payload: &str) -> String {
 #[must_use]
 pub fn unescape_payload(line: &str) -> Option<String> {
     let mut out = String::with_capacity(line.len());
-    let mut chars = line.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
+    let mut rest = line;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes().get(at + 1)? {
+            b'\\' => out.push('\\'),
+            b'n' => out.push('\n'),
             _ => return None,
         }
+        rest = &rest[at + 2..];
     }
+    out.push_str(rest);
     Some(out)
+}
+
+/// Writes one journal record, `cell <index> <escaped length> <escaped
+/// payload>\n`, without building it in memory first.
+fn write_cell_line(out: &mut impl Write, index: usize, payload: &str) -> io::Result<()> {
+    write!(out, "cell {index} {} ", escaped_len(payload))?;
+    escape_runs(payload, |piece| out.write_all(piece.as_bytes()))?;
+    out.write_all(b"\n")
 }
 
 /// The journal file for one request id.
@@ -121,7 +194,7 @@ pub fn load_checkpoint(
     // length), so the final line is parsed even without a trailing newline:
     // a complete append that lost only its terminator is recovered, while a
     // genuinely truncated one fails its own length check below.
-    let mut lines = text.lines();
+    let mut lines = text.split('\n');
     let expect = |got: Option<&str>, want: &str, what: &str| -> Result<(), String> {
         match got {
             Some(line) if line == want => Ok(()),
@@ -147,13 +220,13 @@ pub fn load_checkpoint(
         let Some((index, rest)) = rest.split_once(' ') else {
             break;
         };
-        let Ok(index) = index.parse::<usize>() else {
+        let Some(index) = parse_usize(index) else {
             break;
         };
         let Some((length, escaped)) = rest.split_once(' ') else {
             break;
         };
-        let Ok(length) = length.parse::<usize>() else {
+        let Some(length) = parse_usize(length) else {
             break;
         };
         if escaped.len() != length {
@@ -187,7 +260,7 @@ impl CheckpointWriter {
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         let fresh = file.metadata()?.len() == 0;
         let mut writer = Self {
-            file: BufWriter::new(file),
+            file: BufWriter::with_capacity(JOURNAL_BUFFER, file),
         };
         if fresh {
             writer.file.write_all(
@@ -205,9 +278,7 @@ impl CheckpointWriter {
     ///
     /// Propagates write failures.
     pub fn append(&mut self, index: usize, payload: &str) -> io::Result<()> {
-        let escaped = escape_payload(payload);
-        self.file
-            .write_all(format!("cell {index} {} {escaped}\n", escaped.len()).as_bytes())?;
+        write_cell_line(&mut self.file, index, payload)?;
         self.file.flush()
     }
 }
@@ -228,7 +299,67 @@ pub fn delete_checkpoint(dir: &Path, id: &str) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::encode_cell;
+    use crate::codec::testkit::{faulted_cells, synthetic_cell, Rng, LABELS};
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The original char-wise escape.
+    fn reference_escape(payload: &str) -> String {
+        let mut out = String::with_capacity(payload.len());
+        for c in payload.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                other => out.push(other),
+            }
+        }
+        out
+    }
+
+    /// The original char-wise unescape.
+    fn reference_unescape(line: &str) -> Option<String> {
+        let mut out = String::with_capacity(line.len());
+        let mut chars = line.chars();
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                out.push(c);
+                continue;
+            }
+            match chars.next()? {
+                '\\' => out.push('\\'),
+                'n' => out.push('\n'),
+                _ => return None,
+            }
+        }
+        Some(out)
+    }
+
+    /// The original journal record, built whole with `format!`.
+    fn reference_line(index: usize, payload: &str) -> String {
+        let escaped = reference_escape(payload);
+        format!("cell {index} {} {escaped}\n", escaped.len())
+    }
+
+    /// A random string over characters the escape treats specially, their
+    /// neighbours, and multi-byte UTF-8.
+    fn awkward_text(rng: &mut Rng) -> String {
+        const PIECES: [&str; 12] = [
+            "\\",
+            "\n",
+            "n",
+            "\\n",
+            "\\\\",
+            "a",
+            " ",
+            "ü",
+            "熱",
+            "🚗",
+            "\r",
+            "0123456789abcdef",
+        ];
+        (0..rng.below(40)).map(|_| rng.pick(&PIECES)).collect()
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -378,6 +509,83 @@ mod tests {
         };
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[&0], "cell 0\nbody a\n");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    proptest! {
+        #[test]
+        fn escape_and_journal_line_match_the_reference(seed in 0u64..u64::MAX) {
+            let mut rng = Rng(seed);
+            for round in 0..8 {
+                let payload = if round % 2 == 0 {
+                    awkward_text(&mut rng)
+                } else {
+                    encode_cell(&synthetic_cell(&mut rng))
+                };
+                let escaped = escape_payload(&payload);
+                prop_assert_eq!(&escaped, &reference_escape(&payload));
+                prop_assert_eq!(escaped_len(&payload), escaped.len());
+                prop_assert_eq!(unescape_payload(&escaped).as_deref(), Some(payload.as_str()));
+                let index = rng.pick(&[0, 7, usize::MAX]);
+                let mut line = Vec::new();
+                write_cell_line(&mut line, index, &payload).unwrap();
+                prop_assert_eq!(String::from_utf8(line).unwrap(), reference_line(index, &payload));
+            }
+        }
+
+        #[test]
+        fn unescape_matches_the_reference_on_arbitrary_text(seed in 0u64..u64::MAX) {
+            let mut rng = Rng(seed);
+            for _ in 0..16 {
+                let line = awkward_text(&mut rng);
+                prop_assert_eq!(unescape_payload(&line), reference_unescape(&line), "{:?}", line);
+            }
+        }
+    }
+
+    #[test]
+    fn real_cells_journal_like_the_reference() {
+        for (index, cell) in faulted_cells().iter().enumerate() {
+            let payload = encode_cell(cell);
+            let mut line = Vec::new();
+            write_cell_line(&mut line, index, &payload).unwrap();
+            assert_eq!(
+                String::from_utf8(line).unwrap(),
+                reference_line(index, &payload)
+            );
+        }
+        for label in LABELS {
+            assert_eq!(escape_payload(label), reference_escape(label));
+        }
+    }
+
+    #[test]
+    fn cell_fields_must_be_canonical_decimal_and_lines_end_in_newline() {
+        let dir = temp_dir("canonical");
+        let path = checkpoint_path(&dir, "job");
+        let header = format!("{CHECKPOINT_MAGIC}\ngrid g\npolicy measured\n");
+        for bad in [
+            "cell +1 1 a\n",
+            "cell 01 1 a\n",
+            "cell 1 +1 a\n",
+            "cell 1 01 a\n",
+            "cell -1 1 a\n",
+            "cell 1 1 a\r\n",
+        ] {
+            std::fs::write(&path, format!("{header}cell 0 1 z\n{bad}cell 2 1 b\n")).unwrap();
+            let CheckpointLoad::Cells(cells) =
+                load_checkpoint(&dir, "job", "g", "measured").unwrap()
+            else {
+                panic!("expected cells");
+            };
+            assert_eq!(cells.keys().copied().collect::<Vec<_>>(), [0], "{bad:?}");
+        }
+        // A CRLF header is not the header the writer wrote.
+        std::fs::write(&path, header.replace('\n', "\r\n")).unwrap();
+        assert!(matches!(
+            load_checkpoint(&dir, "job", "g", "measured").unwrap(),
+            CheckpointLoad::Mismatch { .. }
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

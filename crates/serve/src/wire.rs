@@ -20,7 +20,7 @@
 //!   ([`WireError::UnknownKind`]) or transport I/O failure.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, IoSliceMut, Read, Write};
 
 /// Default cap on one frame's length (kind byte + payload): 32 MiB, far
 /// above any report the service streams, low enough that a hostile length
@@ -239,8 +239,9 @@ pub fn read_frame(stream: &mut impl Read, max_frame: usize) -> Result<ReadOutcom
             max: max_frame,
         });
     }
-    let mut body = vec![0_u8; length];
-    let got = match read_exact_or_eof(stream, &mut body) {
+    let mut kind = [0_u8; 1];
+    let mut payload = vec![0_u8; length - 1];
+    let got = match read_kind_and_payload(stream, &mut kind, &mut payload) {
         Ok(got) => got,
         Err(err) if is_timeout(&err) => {
             return Err(WireError::Truncated {
@@ -256,12 +257,35 @@ pub fn read_frame(stream: &mut impl Read, max_frame: usize) -> Result<ReadOutcom
             got,
         });
     }
-    let kind = FrameKind::from_byte(body[0]).ok_or(WireError::UnknownKind(body[0]))?;
-    body.remove(0);
-    Ok(ReadOutcome::Frame(Frame {
-        kind,
-        payload: body,
-    }))
+    let kind = FrameKind::from_byte(kind[0]).ok_or(WireError::UnknownKind(kind[0]))?;
+    Ok(ReadOutcome::Frame(Frame { kind, payload }))
+}
+
+/// Fills the kind byte and then the payload, returning the bytes read
+/// (short only at EOF).  The first read is vectored over both, so a frame
+/// body that has already arrived is taken in one call and the payload lands
+/// in its own buffer, never shifted.
+fn read_kind_and_payload(
+    stream: &mut impl Read,
+    kind: &mut [u8; 1],
+    payload: &mut [u8],
+) -> Result<usize, io::Error> {
+    let total = 1 + payload.len();
+    let mut filled = 0;
+    while filled < total {
+        let read = if filled == 0 {
+            stream.read_vectored(&mut [IoSliceMut::new(kind), IoSliceMut::new(payload)])
+        } else {
+            stream.read(&mut payload[filled - 1..])
+        };
+        match read {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+            Err(err) => return Err(err),
+        }
+    }
+    Ok(filled)
 }
 
 /// Writes one frame and flushes.
@@ -283,16 +307,31 @@ pub fn write_frame(
             max: max_frame,
         });
     }
-    let header = u32::try_from(length)
+    let length_bytes = u32::try_from(length)
         .map_err(|_| WireError::Oversized {
             length,
             max: max_frame,
         })?
         .to_be_bytes();
-    stream.write_all(&header)?;
-    stream.write_all(&[kind.byte()])?;
-    stream.write_all(payload)?;
+    let [l0, l1, l2, l3] = length_bytes;
+    let header = [l0, l1, l2, l3, kind.byte()];
+    write_all_vectored(stream, &mut [IoSlice::new(&header), IoSlice::new(payload)])?;
     stream.flush()?;
+    Ok(())
+}
+
+/// Writes every buffer in order, handing the transport all of what remains
+/// in each call, so a frame normally leaves in one write (one segment on a
+/// `TCP_NODELAY` socket) without being copied into one buffer first.
+fn write_all_vectored(stream: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !bufs.is_empty() {
+        match stream.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+            Err(err) => return Err(err),
+        }
+    }
     Ok(())
 }
 
@@ -418,6 +457,260 @@ mod tests {
             ),
         ] {
             assert!(err.to_string().contains(needle), "{err}");
+        }
+    }
+
+    /// A transport that records every call it receives.
+    #[derive(Default)]
+    struct RecordingWriter {
+        bytes: Vec<u8>,
+        /// `(vectored, bytes taken)` per write call.
+        calls: Vec<(bool, usize)>,
+        flushes: usize,
+        /// When set, each call takes at most this many bytes.
+        limit: Option<usize>,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let take = buf.len().min(self.limit.unwrap_or(usize::MAX));
+            self.bytes.extend_from_slice(&buf[..take]);
+            self.calls.push((false, take));
+            Ok(take)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut budget = self.limit.unwrap_or(usize::MAX);
+            let mut taken = 0;
+            for buf in bufs {
+                let take = buf.len().min(budget);
+                self.bytes.extend_from_slice(&buf[..take]);
+                budget -= take;
+                taken += take;
+            }
+            self.calls.push((true, taken));
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    fn frame_bytes(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = u32::try_from(payload.len() + 1)
+            .unwrap()
+            .to_be_bytes()
+            .to_vec();
+        bytes.push(kind.byte());
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    #[test]
+    fn each_frame_reaches_the_transport_in_one_write() {
+        let payload = "cell 0\nr 0123456789abcdef\n".repeat(500);
+        for body in [payload.as_bytes(), b"".as_slice()] {
+            let mut sink = RecordingWriter::default();
+            write_frame(&mut sink, FrameKind::Cell, body, MAX_FRAME).unwrap();
+            assert_eq!(sink.calls, [(true, 5 + body.len())]);
+            assert_eq!(sink.flushes, 1);
+            assert_eq!(sink.bytes, frame_bytes(FrameKind::Cell, body));
+        }
+        // A transport that takes a few bytes per call still receives the
+        // exact frame, resumed mid-header and mid-payload.
+        let mut sink = RecordingWriter {
+            limit: Some(3),
+            ..RecordingWriter::default()
+        };
+        write_frame(&mut sink, FrameKind::Done, b"id x\n", MAX_FRAME).unwrap();
+        assert_eq!(sink.bytes, frame_bytes(FrameKind::Done, b"id x\n"));
+        assert!(sink
+            .calls
+            .iter()
+            .all(|&(vectored, taken)| vectored && taken <= 3));
+    }
+
+    #[test]
+    fn a_transport_that_accepts_nothing_is_an_error() {
+        let mut sink = RecordingWriter {
+            limit: Some(0),
+            ..RecordingWriter::default()
+        };
+        let err = write_frame(&mut sink, FrameKind::Cell, b"x", MAX_FRAME).unwrap_err();
+        assert!(matches!(err, WireError::Io(e) if e.kind() == io::ErrorKind::WriteZero));
+    }
+
+    #[test]
+    fn every_cut_point_reports_the_same_truncation() {
+        let payload = b"cell 3\nmodules 8\n";
+        let frame = frame_bytes(FrameKind::Cell, payload);
+        let length = payload.len() + 1;
+        assert!(matches!(
+            read_frame(&mut Cursor::new(&frame[..0]), MAX_FRAME).unwrap(),
+            ReadOutcome::Eof
+        ));
+        for cut in 1..frame.len() {
+            let err = read_frame(&mut Cursor::new(&frame[..cut]), MAX_FRAME).unwrap_err();
+            let (expected, got) = if cut < 4 { (4, cut) } else { (length, cut - 4) };
+            assert!(
+                matches!(err, WireError::Truncated { expected: e, got: g } if e == expected && g == got),
+                "cut {cut}: {err:?}"
+            );
+        }
+        match read_frame(&mut Cursor::new(&frame), MAX_FRAME).unwrap() {
+            ReadOutcome::Frame(read) => {
+                assert_eq!(read.kind, FrameKind::Cell);
+                assert_eq!(read.payload, payload);
+            }
+            other => panic!("expected a frame, got {other:?}"),
+        }
+    }
+
+    /// A reader that hands out at most one byte per call and only through
+    /// the default (non-vectored) `read_vectored`.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some((&first, rest)) = self.0.split_first() else {
+                return Ok(0);
+            };
+            match buf.first_mut() {
+                Some(slot) => {
+                    *slot = first;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                None => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn byte_at_a_time_transports_read_whole_frames_and_honest_truncations() {
+        let mut stream = frame_bytes(FrameKind::Submit, b"id a\ngrid modules=8");
+        stream.extend(frame_bytes(FrameKind::Stats, b""));
+        let mut reader = Trickle(&stream);
+        for (kind, payload) in [
+            (FrameKind::Submit, b"id a\ngrid modules=8".as_slice()),
+            (FrameKind::Stats, b""),
+        ] {
+            match read_frame(&mut reader, MAX_FRAME).unwrap() {
+                ReadOutcome::Frame(frame) => {
+                    assert_eq!(frame.kind, kind);
+                    assert_eq!(frame.payload, payload);
+                }
+                other => panic!("expected a frame, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            read_frame(&mut reader, MAX_FRAME).unwrap(),
+            ReadOutcome::Eof
+        ));
+        let frame = frame_bytes(FrameKind::Cell, b"abc");
+        let err = read_frame(&mut Trickle(&frame[..6]), MAX_FRAME).unwrap_err();
+        assert!(matches!(
+            err,
+            WireError::Truncated {
+                expected: 4,
+                got: 2
+            }
+        ));
+    }
+
+    /// A reader that times out after handing out `ready` bytes.
+    struct Stall<'a> {
+        ready: &'a [u8],
+    }
+
+    impl Read for Stall<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.ready.is_empty() {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let take = buf.len().min(self.ready.len());
+            buf[..take].copy_from_slice(&self.ready[..take]);
+            self.ready = &self.ready[take..];
+            Ok(take)
+        }
+    }
+
+    #[test]
+    fn timeouts_keep_their_outcomes() {
+        let frame = frame_bytes(FrameKind::Cell, b"payload");
+        assert!(matches!(
+            read_frame(&mut Stall { ready: &[] }, MAX_FRAME).unwrap(),
+            ReadOutcome::Idle
+        ));
+        // Mid-body a timeout reports the frame length with nothing counted.
+        for cut in 4..frame.len() {
+            let err = read_frame(
+                &mut Stall {
+                    ready: &frame[..cut],
+                },
+                MAX_FRAME,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    WireError::Truncated {
+                        expected: 8,
+                        got: 0
+                    }
+                ),
+                "cut {cut}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn length_and_kind_errors_are_unchanged() {
+        let err = read_frame(&mut Cursor::new(0_u32.to_be_bytes()), MAX_FRAME).unwrap_err();
+        assert!(matches!(err, WireError::EmptyFrame));
+        let mut oversized = 1025_u32.to_be_bytes().to_vec();
+        oversized.extend([0; 8]);
+        let err = read_frame(&mut Cursor::new(oversized), 1024).unwrap_err();
+        assert!(matches!(
+            err,
+            WireError::Oversized {
+                length: 1025,
+                max: 1024
+            }
+        ));
+        // The cap is inclusive.
+        let at_cap = frame_bytes(FrameKind::Cell, &[b'x'; 1023]);
+        assert!(matches!(
+            read_frame(&mut Cursor::new(at_cap), 1024).unwrap(),
+            ReadOutcome::Frame(_)
+        ));
+        let err = write_frame(&mut Vec::new(), FrameKind::Cell, &[b'x'; 1024], 1024).unwrap_err();
+        assert!(matches!(
+            err,
+            WireError::Oversized {
+                length: 1025,
+                max: 1024
+            }
+        ));
+        for byte in [0x00, 0x05, 0x80, 0x88, 0xff] {
+            let mut frame = frame_bytes(FrameKind::Cell, b"abc");
+            frame[4] = byte;
+            let err = read_frame(&mut Cursor::new(&frame), MAX_FRAME).unwrap_err();
+            assert!(
+                matches!(err, WireError::UnknownKind(b) if b == byte),
+                "{byte:#x}"
+            );
+            // A truncated frame reports the truncation, not the kind.
+            let err = read_frame(&mut Cursor::new(&frame[..6]), MAX_FRAME).unwrap_err();
+            assert!(matches!(
+                err,
+                WireError::Truncated {
+                    expected: 4,
+                    got: 2
+                }
+            ));
         }
     }
 }
